@@ -3,12 +3,17 @@
 // TCP simulator itself.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "content/gif.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/huffman.hpp"
 #include "deflate/inflate.hpp"
 #include "harness/experiment.hpp"
 #include "http/parser.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -133,6 +138,75 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueThroughput);
+
+// Event-core churn shaped like a TCP fleet: each delivered segment re-arms
+// its connection's RTO timer (a cancel plus a schedule, as on every ACK),
+// starts or cancels a delayed-ACK timer, and schedules the connection's next
+// delivery with a 72-byte capture, the size of net::Link's [this, Packet]
+// delivery lambda. Most RTO arms are cancelled long before they fire, so
+// the heap carries the dead entries real runs do.
+class ChurnFleet {
+ public:
+  static constexpr std::uint32_t kConns = 2000;
+
+  explicit ChurnFleet(sim::EventQueue& q) : q_(q), rng_(7) {
+    for (std::uint32_t c = 0; c < kConns; ++c) {
+      conns_.push_back(std::make_unique<Conn>(q));
+      send(c);
+    }
+  }
+
+  std::uint64_t delivered() const { return delivered_; }
+
+ private:
+  struct Segment {
+    std::uint32_t conn;
+    std::uint32_t len;
+    std::uint64_t fill[7];  // pads the segment to net::Packet's 64 bytes
+  };
+  struct Conn {
+    explicit Conn(sim::EventQueue& q) : rto(q), delack(q) {}
+    sim::Timer rto;
+    sim::Timer delack;
+    std::uint64_t rto_fires = 0;
+  };
+
+  void send(std::uint32_t c) {
+    Segment seg{c, 1460, {}};
+    const sim::Time delay = sim::microseconds(rng_.uniform(50, 5000));
+    q_.schedule_in(delay, [this, seg] { deliver(seg); });
+  }
+
+  void deliver(const Segment& seg) {
+    ++delivered_;
+    Conn& conn = *conns_[seg.conn];
+    conn.rto.arm(sim::milliseconds(200), [&conn] { ++conn.rto_fires; });
+    if (conn.delack.armed()) {
+      conn.delack.cancel();  // the second segment acks at once
+    } else {
+      conn.delack.arm(sim::milliseconds(40), [] {});
+    }
+    send(seg.conn);
+  }
+
+  sim::EventQueue& q_;
+  sim::Rng rng_;
+  std::vector<std::unique_ptr<Conn>> conns_;
+  std::uint64_t delivered_ = 0;
+};
+
+void BM_EventQueueChurn(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::EventQueue q;
+    ChurnFleet fleet(q);
+    events += q.run_until(sim::seconds(2));
+    benchmark::DoNotOptimize(fleet.delivered());
+  }
+  state.counters["events/s"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EventQueueChurn)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

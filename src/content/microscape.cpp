@@ -294,8 +294,13 @@ MicroscapeSite modernize_site(const MicroscapeSite& site, ModernCodec codec) {
 }
 
 std::vector<std::string> scan_image_references(std::string_view html_prefix) {
-  std::vector<std::string> refs;
   std::size_t pos = 0;
+  return scan_image_references(html_prefix, pos);
+}
+
+std::vector<std::string> scan_image_references(std::string_view html_prefix,
+                                               std::size_t& pos) {
+  std::vector<std::string> refs;
   for (;;) {
     const std::size_t img = html_prefix.find("<img ", pos);
     if (img == std::string_view::npos) break;

@@ -67,8 +67,14 @@ MicroscapeSite modernize_site(const MicroscapeSite& site,
 
 /// Extracts src="..." references in document order, possibly from a partial
 /// HTML prefix — the incremental scanning a pipelining client performs as
-/// bytes arrive. `consumed` returns how far scanning got (complete tags
-/// only), so a caller can resume from there with more data.
+/// bytes arrive. Only complete references are returned.
 std::vector<std::string> scan_image_references(std::string_view html_prefix);
+
+/// Resumable form: scans from offset `pos` and advances it past the last
+/// complete reference found. Calling it again on a longer prefix of the same
+/// document with the returned `pos` yields exactly the references a full
+/// rescan would add, without rescanning the bytes already consumed.
+std::vector<std::string> scan_image_references(std::string_view html_prefix,
+                                               std::size_t& pos);
 
 }  // namespace hsim::content

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "net/channel.hpp"
 #include "net/link.hpp"
 #include "server/static_site.hpp"
+#include "sim/flat_hash_map.hpp"
 #include "sim/shard.hpp"
 #include "topo/topology.hpp"
 
@@ -33,10 +33,11 @@ struct Funnel : net::PacketSink {
 };
 
 struct Fanout : net::PacketSink {
-  std::map<net::IpAddr, net::Link*> routes;
+  // Per-packet lookup table; never iterated.
+  sim::FlatHashMap<net::IpAddr, net::Link*, sim::IntegerBits> routes;
   void deliver(net::Packet packet) override {
-    if (auto it = routes.find(packet.dst); it != routes.end()) {
-      it->second->transmit(std::move(packet));
+    if (net::Link* const* link = routes.find(packet.dst)) {
+      (*link)->transmit(std::move(packet));
     }
   }
 };

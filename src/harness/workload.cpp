@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 
 #include "harness/chaos.hpp"
 #include "harness/parallel.hpp"
 #include "net/link.hpp"
 #include "server/static_site.hpp"
+#include "sim/flat_hash_map.hpp"
 #include "topo/topology.hpp"
 
 namespace hsim::harness {
@@ -31,10 +31,11 @@ struct Funnel : net::PacketSink {
 /// Server-to-clients distribution point: routes by destination address onto
 /// the matching client's access downlink.
 struct Fanout : net::PacketSink {
-  std::map<net::IpAddr, net::Link*> routes;
+  // Per-packet lookup table; never iterated.
+  sim::FlatHashMap<net::IpAddr, net::Link*, sim::IntegerBits> routes;
   void deliver(net::Packet packet) override {
-    if (auto it = routes.find(packet.dst); it != routes.end()) {
-      it->second->transmit(std::move(packet));
+    if (net::Link* const* link = routes.find(packet.dst)) {
+      (*link)->transmit(std::move(packet));
     }
   }
 };

@@ -560,8 +560,11 @@ void HttpServer::finish_request_h2(const ConnStatePtr& state,
     const Resource* resource = site_.find(request.target);
     if (resource != nullptr &&
         std::string_view(resource->content_type).starts_with("text/html")) {
-      for (const std::string& ref :
-           content::scan_image_references(resource->data.view())) {
+      if (!resource->image_refs) {
+        resource->image_refs =
+            content::scan_image_references(resource->data.view());
+      }
+      for (const std::string& ref : *resource->image_refs) {
         if (site_.find(ref) == nullptr) continue;
         http::Request push_req;
         push_req.method = http::Method::kGet;

@@ -26,6 +26,7 @@ bool StaticSite::update(const std::string& path,
   r.data = buf::Bytes(std::move(data));
   r.etag = make_etag(r.data.span());
   r.last_modified = modified_at;
+  r.image_refs.reset();
   if (!r.deflated.empty()) {
     r.deflated = buf::Bytes(deflate::zlib_compress(r.data.span()));
   }

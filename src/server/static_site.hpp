@@ -30,6 +30,9 @@ struct Resource {
   buf::Bytes deflated;
   std::string etag;
   http::UnixSeconds last_modified = http::kSimulationEpoch;
+  /// src= references of an HTML body, filled by the server's push path on
+  /// its first push and reused after; StaticSite::update clears it.
+  mutable std::optional<std::vector<std::string>> image_refs;
 };
 
 class StaticSite {

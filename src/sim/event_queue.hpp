@@ -14,19 +14,31 @@
 // (sim/shard.hpp), where events injected from another shard's queue must
 // interleave with local events in a canonical, thread-count-independent
 // order.
+//
+// Layout (DESIGN.md section 8): the binary heap holds 40-byte POD entries
+// {key, slot, generation}; callbacks live out of line in a slot table that
+// recycles slots through a free list. A TimerId names (slot, generation), so
+// cancel() is an O(1) generation bump that also destroys the captures at
+// once; the cancelled entry stays in the heap and is skipped when popped.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <limits>
-#include <unordered_set>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace hsim::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled: the event's slot in
+/// the queue's callback table (low 32 bits) and that slot's generation when
+/// the event was scheduled (high 32 bits, never 0).
 struct TimerId {
   std::uint64_t value = 0;
 
@@ -52,9 +64,126 @@ struct EventKey {
   }
 };
 
+/// A move-only `void()` callable. Captures of up to kInlineBytes live in the
+/// object itself; larger or over-aligned ones fall back to one heap
+/// allocation.
+template <std::size_t InlineBytes>
+class InlineCallback {
+ public:
+  static constexpr std::size_t kInlineBytes = InlineBytes;
+
+  InlineCallback() noexcept = default;
+
+  template <typename F, typename D = std::decay_t<F>>
+    requires(!std::is_same_v<D, InlineCallback> &&
+             std::is_invocable_r_v<void, D&>)
+  InlineCallback(F&& f) : ops_(&kOps<D>) {
+    if constexpr (kInline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
+    }
+  }
+
+  InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
+    if (ops_ != nullptr) {
+      ops_->relocate(storage_, other.storage_);
+      other.ops_ = nullptr;
+    }
+  }
+
+  InlineCallback& operator=(InlineCallback&& other) noexcept {
+    if (this != &other) {
+      reset();
+      ops_ = other.ops_;
+      if (ops_ != nullptr) {
+        ops_->relocate(storage_, other.storage_);
+        other.ops_ = nullptr;
+      }
+    }
+    return *this;
+  }
+
+  InlineCallback(const InlineCallback&) = delete;
+  InlineCallback& operator=(const InlineCallback&) = delete;
+
+  ~InlineCallback() { reset(); }
+
+  /// Destroys the held callable (and its captures), leaving this empty.
+  void reset() noexcept {
+    if (const Ops* ops = ops_) {
+      ops_ = nullptr;  // empty before the captures' destructors run
+      ops->destroy(storage_);
+    }
+  }
+
+  void operator()() { ops_->invoke(storage_); }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* self);
+    /// Move-constructs the callable into `dst` and destroys the one at `src`.
+    void (*relocate)(void* dst, void* src) noexcept;
+    void (*destroy)(void* self) noexcept;
+  };
+
+  template <typename D>
+  static constexpr bool kInline =
+      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(void*) &&
+      std::is_nothrow_move_constructible_v<D>;
+
+  template <typename D>
+  static D& target(void* self) {
+    if constexpr (kInline<D>) {
+      return *std::launder(static_cast<D*>(self));
+    } else {
+      return **std::launder(static_cast<D**>(self));
+    }
+  }
+
+  template <typename D>
+  static void relocate(void* dst, void* src) noexcept {
+    if constexpr (!kInline<D> || std::is_trivially_copyable_v<D>) {
+      std::memcpy(dst, src, kInline<D> ? sizeof(D) : sizeof(D*));
+    } else {
+      D& from = target<D>(src);
+      ::new (dst) D(std::move(from));
+      from.~D();
+    }
+  }
+
+  template <typename D>
+  static void destroy(void* self) noexcept {
+    if constexpr (kInline<D>) {
+      target<D>(self).~D();
+    } else {
+      delete &target<D>(self);
+    }
+  }
+
+  template <typename D>
+  static constexpr Ops kOps = {
+      [](void* self) { target<D>(self)(); },
+      &relocate<D>,
+      &destroy<D>,
+  };
+
+  alignas(void*) unsigned char storage_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
+
+/// Event callbacks: 80 inline bytes hold net::Link's `[this, Packet]`
+/// delivery lambda (72 B) and the server's `[this, weak_ptr]` CPU lambda.
+using Callback = InlineCallback<80>;
+
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
+
+  EventQueue() = default;
+  ~EventQueue();
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Current simulated time. Advances only as events are executed.
   Time now() const { return now_; }
@@ -69,8 +198,9 @@ class EventQueue {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Cancels a pending event. Returns true if the event had not yet run and
-  /// was successfully cancelled.
+  /// Cancels a pending event and destroys its callback. Returns true only if
+  /// the event had not yet run (or started running) and was not already
+  /// cancelled.
   bool cancel(TimerId id);
 
   /// Runs the single next event. Returns false if the queue is empty.
@@ -86,13 +216,13 @@ class EventQueue {
   /// Runs events for `duration` from the current time.
   std::size_t run_for(Time duration) { return run_until(now_ + duration); }
 
-  /// Number of pending (non-cancelled) events.
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  /// Number of pending (scheduled, not yet run, not cancelled) events.
+  std::size_t pending() const { return live_; }
 
-  bool empty() const { return pending() == 0; }
+  bool empty() const { return live_ == 0; }
 
   /// Pre-sizes the heap (a 1000-client workload holds tens of thousands of
-  /// timers at once; avoiding regrowth copies of std::function is measurable).
+  /// timers at once). The slot table grows on demand in fixed chunks.
   void reserve(std::size_t n) { heap_.reserve(n); }
 
   // ---- Sharded-engine surface (sim/shard.hpp) -----------------------------
@@ -110,7 +240,7 @@ class EventQueue {
   TimerId schedule_cross(const EventKey& key, Callback cb);
 
   /// Fire time of the earliest pending event, or `kNoEvent` when empty.
-  /// Purges lazily-cancelled events from the top as a side effect.
+  /// Drops cancelled entries from the top of the heap as a side effect.
   static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
   Time next_event_time();
 
@@ -124,44 +254,79 @@ class EventQueue {
     if (now_ < t) now_ = t;
   }
 
+  /// A cancel that leaves at least this many cancelled entries in the heap,
+  /// making up at least half of it, rebuilds the heap without them.
+  static constexpr std::size_t kCompactMinDead = 1024;
+
  private:
-  struct Event {
+  /// Heap entry: the event's key, its slot, and the slot generation it was
+  /// scheduled under. The entry is live while the slot still carries that
+  /// generation.
+  struct Entry {
     EventKey key;
-    std::uint64_t id;
-    Callback cb;
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
+  static_assert(sizeof(Entry) == 40);
   // Comparator for a std::*_heap max-heap whose "largest" element is the
   // earliest event: a orders after b when a fires later.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       return b.key < a.key;
     }
   };
 
-  /// Pops the earliest event out of the heap by move (std::priority_queue's
-  /// const top() would copy the std::function and its captures every pop —
-  /// the hottest allocation site in large simulations).
-  Event pop_event();
-  /// Physically removes lazily-cancelled events once they dominate the heap,
-  /// bounding memory held alive by cancelled timers' captures.
+  /// One callback holder. The generation moves on whenever the slot's event
+  /// fires or is cancelled, which retires every TimerId and heap entry that
+  /// named the old one; free slots are chained through `next_free`.
+  struct Slot {
+    Callback cb;
+    std::uint32_t gen = 1;
+    std::uint32_t next_free = 0;
+  };
+  // Slots live in fixed chunks so their addresses are stable: a callback
+  // runs in place even while it schedules events that grow the table.
+  static constexpr std::uint32_t kChunkShift = 7;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  Slot& slot(std::uint32_t index) {
+    return chunks_[index >> kChunkShift][index & (kChunkSlots - 1)];
+  }
+  bool live(const Entry& e) { return slot(e.slot).gen == e.gen; }
+  static void retire(Slot& s) {
+    if (++s.gen == 0) s.gen = 1;  // generation 0 would make a null TimerId
+  }
+
+  TimerId push(const EventKey& key, Callback&& cb);
+  Entry pop_entry();
+  /// Runs a popped live entry's callback in place, then frees its slot.
+  void fire(const Entry& e);
   void maybe_compact();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
   std::uint32_t shard_ = 0;
   EventKey current_key_{};
-  std::vector<Event> heap_;  // binary heap maintained via std::push/pop_heap
-  std::unordered_set<std::uint64_t> cancelled_;
+  std::vector<Entry> heap_;  // binary heap maintained via std::push/pop_heap
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slots_used_ = 0;  // slots ever handed out
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t live_ = 0;
 };
 
 /// RAII helper owning a single restartable timer on an EventQueue.
 ///
 /// TCP and HTTP components hold several of these (retransmit, delayed-ACK,
 /// flush). Destroying the Timer cancels any pending callback, so a component
-/// can never be called back after destruction.
+/// can never be called back after destruction. The callback is held here;
+/// the queue only holds a `[this]` thunk.
 class Timer {
  public:
+  /// Timer callbacks are `[this]` lambdas; 16 inline bytes keep the three
+  /// timers of every TCP connection small.
+  using Callback = InlineCallback<16>;
+
   explicit Timer(EventQueue& queue) : queue_(&queue) {}
   ~Timer() { cancel(); }
 
@@ -169,12 +334,10 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   /// (Re)arms the timer to fire `delay` from now, replacing any pending fire.
-  void arm(Time delay, EventQueue::Callback cb) {
+  void arm(Time delay, Callback cb) {
     cancel();
-    id_ = queue_->schedule_in(delay, [this, cb = std::move(cb)] {
-      id_ = TimerId{};
-      cb();
-    });
+    cb_ = std::move(cb);
+    id_ = queue_->schedule_in(delay, [this] { fire(); });
   }
 
   /// True if the timer is armed and has not fired.
@@ -188,8 +351,17 @@ class Timer {
   }
 
  private:
+  void fire() {
+    id_ = TimerId{};
+    // Run from a local: the callback may re-arm (replacing cb_) or destroy
+    // this timer.
+    Callback cb = std::move(cb_);
+    cb();
+  }
+
   EventQueue* queue_;
   TimerId id_;
+  Callback cb_;
 };
 
 }  // namespace hsim::sim

@@ -84,9 +84,10 @@ void ShardedEngine::set_epochs(Time interval, Time last,
 
 void ShardedEngine::inject_pending() {
   // Shard order then post order — canonical regardless of which worker ran
-  // which shard. The destination queue re-orders by the carried key anyway;
-  // this only fixes TimerId allocation order, which nothing observes across
-  // shards, but determinism is cheaper to guarantee than to argue about.
+  // which shard. The destination queue orders events by the carried key
+  // anyway; this only fixes which callback slots (and so which TimerIds) the
+  // injected events get, which nothing observes, but determinism is cheaper
+  // to guarantee than to argue about.
   for (ShardState& state : shards_) {
     for (Message& msg : state.outbox) {
       if (msg.key.when < last_round_end_) ++violations_;

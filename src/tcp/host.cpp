@@ -51,9 +51,9 @@ void Host::deliver(net::Packet packet) {
   key.peer_port = packet.tcp.src_port;
   key.local_port = packet.tcp.dst_port;
 
-  if (auto it = connections_.find(key); it != connections_.end()) {
+  if (const ConnectionPtr* found = connections_.find(key)) {
     // Hold a reference: processing may remove the connection from the table.
-    ConnectionPtr conn = it->second;
+    ConnectionPtr conn = *found;
     conn->segment_arrived(packet);
     return;
   }
@@ -140,10 +140,10 @@ void Host::transmit(net::Packet packet) {
 }
 
 ConnectionPtr Host::remove_connection(const Connection::Key& key) {
-  auto it = connections_.find(key);
-  if (it == connections_.end()) return nullptr;
-  ConnectionPtr conn = std::move(it->second);
-  connections_.erase(it);
+  ConnectionPtr* found = connections_.find(key);
+  if (found == nullptr) return nullptr;
+  ConnectionPtr conn = std::move(*found);
+  connections_.erase(key);
   // A connection torn down before completing its handshake (RST, retry
   // exhaustion, stop_listening) releases its backlog slot here.
   if (auto emb = embryonic_.find(key); emb != embryonic_.end()) {

@@ -14,6 +14,7 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/flat_hash_map.hpp"
 #include "sim/random.hpp"
 #include "tcp/connection.hpp"
 
@@ -101,7 +102,15 @@ class Host : public net::PacketSink {
   std::string name_;
   sim::Rng rng_;
   net::Link* uplink_ = nullptr;
-  std::map<Connection::Key, ConnectionPtr> connections_;
+  struct KeyBits {
+    std::uint64_t operator()(const Connection::Key& k) const {
+      return std::uint64_t{k.peer_addr} << 32 |
+             std::uint64_t{k.local_port} << 16 | k.peer_port;
+    }
+  };
+  // Per-segment demux table. Never iterated, so its hash order cannot reach
+  // event order.
+  sim::FlatHashMap<Connection::Key, ConnectionPtr, KeyBits> connections_;
   std::map<net::Port, Listener> listeners_;
   /// Connections still in the handshake, charged against their listener's
   /// backlog: key -> listening port. Entries leave on accept or teardown.

@@ -34,9 +34,7 @@ void Router::add_route(net::IpAddr dst, std::size_t egress) {
 }
 
 std::size_t Router::route_for(net::IpAddr dst) const {
-  if (const auto it = routes_.find(dst); it != routes_.end()) {
-    return it->second;
-  }
+  if (const std::size_t* egress = routes_.find(dst)) return *egress;
   return default_route_;
 }
 

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "net/trace.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/flat_hash_map.hpp"
 #include "topo/queue_disc.hpp"
 
 namespace hsim::topo {
@@ -133,7 +133,8 @@ class Router : public net::PacketSink {
   std::int32_t id_;
   std::string name_;
   std::vector<Egress> egresses_;
-  std::map<net::IpAddr, std::size_t> routes_;
+  // Per-packet lookup table; never iterated.
+  sim::FlatHashMap<net::IpAddr, std::size_t, sim::IntegerBits> routes_;
   std::size_t default_route_ = kNoRoute;
   net::PacketTrace* hop_trace_ = nullptr;
   bool crashed_ = false;

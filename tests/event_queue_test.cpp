@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
 #include <vector>
 
 namespace hsim::sim {
@@ -69,12 +72,86 @@ TEST(EventQueueTest, CancelReturnsFalseForUnknownOrAlreadyRun) {
   EXPECT_FALSE(q.cancel(TimerId{999}));
   TimerId id = q.schedule_at(0, [] {});
   q.run();
-  // Cancelling after execution is accepted lazily but has no effect; the
-  // important property is that double-cancel of a fresh id is rejected.
+  EXPECT_FALSE(q.cancel(id));  // already ran
   TimerId id2 = q.schedule_at(milliseconds(1), [] {});
   EXPECT_TRUE(q.cancel(id2));
   EXPECT_FALSE(q.cancel(id2));
-  (void)id;
+}
+
+TEST(EventQueueTest, CancellingFiredIdKeepsPendingExact) {
+  EventQueue q;
+  TimerId fired = q.schedule_at(milliseconds(1), [] {});
+  q.schedule_at(milliseconds(5), [] {});
+  q.run_until(milliseconds(2));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.cancel(fired));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.empty());
+  // The fired event's slot is reused; its old id must not reach the new
+  // occupant.
+  bool ran = false;
+  q.schedule_at(milliseconds(6), [&] { ran = true; });
+  EXPECT_FALSE(q.cancel(fired));
+  EXPECT_EQ(q.pending(), 2u);
+  q.run();
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, CancelDuringOwnCallbackIsRejected) {
+  EventQueue q;
+  TimerId self;
+  bool result = true;
+  self = q.schedule_at(milliseconds(1), [&] {
+    result = q.cancel(self);
+    EXPECT_EQ(q.pending(), 0u);
+  });
+  q.run();
+  EXPECT_FALSE(result);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, CancelReleasesCapturesImmediately) {
+  EventQueue q;
+  auto owned = std::make_shared<int>(7);
+  TimerId id = q.schedule_at(milliseconds(1), [owned] { (void)owned; });
+  EXPECT_EQ(owned.use_count(), 2);
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(owned.use_count(), 1);
+}
+
+TEST(EventQueueTest, CaptureDestructorMayCancelOnSameQueue) {
+  // cancel() destroys the captures at once; a capture that owns a component
+  // whose teardown cancels another event on this queue must see exact
+  // counts.
+  EventQueue q;
+  const TimerId other = q.schedule_at(milliseconds(2), [] {});
+  std::size_t pending_in_teardown = 99;
+  std::shared_ptr<void> owner(nullptr, [&](void*) {
+    EXPECT_TRUE(q.cancel(other));
+    pending_in_teardown = q.pending();
+  });
+  const TimerId id = q.schedule_at(milliseconds(1), [owner] { (void)owner; });
+  owner.reset();
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(pending_in_teardown, 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.run(), 0u);
+}
+
+TEST(EventQueueTest, LargeCapturesRunAndRelease) {
+  EventQueue q;
+  auto owned = std::make_shared<int>(0);
+  std::array<char, 2 * Callback::kInlineBytes> big{};
+  big.back() = 42;
+  int seen = 0;
+  q.schedule_at(milliseconds(1), [owned, big, &seen] { seen = big.back(); });
+  TimerId dropped = q.schedule_at(milliseconds(2), [owned, big] {});
+  EXPECT_EQ(owned.use_count(), 3);
+  EXPECT_TRUE(q.cancel(dropped));
+  q.run();
+  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(owned.use_count(), 1);
 }
 
 TEST(EventQueueTest, RunUntilStopsAtDeadline) {
@@ -148,6 +225,20 @@ TEST(TimerTest, CancelStopsFire) {
   t.cancel();
   q.run();
   EXPECT_FALSE(fired);
+}
+
+TEST(TimerTest, RearmFromOwnCallback) {
+  EventQueue q;
+  Timer t(q);
+  int fires = 0;
+  std::function<void()> again = [&] {
+    if (++fires < 3) t.arm(milliseconds(10), again);
+  };
+  t.arm(milliseconds(10), again);
+  q.run();
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(q.now(), milliseconds(30));
+  EXPECT_FALSE(t.armed());
 }
 
 TEST(TimerTest, DestructionCancels) {

@@ -121,6 +121,27 @@ TEST(MicroscapeTest, ScanHandlesPartialPrefix) {
   }
 }
 
+TEST(MicroscapeTest, ResumedScanMatchesFullScan) {
+  // The client resumes from the returned offset as bytes arrive; the
+  // concatenated results must equal one scan of the whole document, for
+  // arrival chunks that split tags anywhere.
+  const std::string& html = site().html;
+  const auto all = scan_image_references(html);
+  for (std::size_t chunk : {1u, 7u, 97u, 1460u}) {
+    std::vector<std::string> resumed;
+    std::size_t pos = 0;
+    for (std::size_t end = chunk;; end += chunk) {
+      const std::size_t cut = std::min(end, html.size());
+      for (auto& ref :
+           scan_image_references(std::string_view(html).substr(0, cut), pos)) {
+        resumed.push_back(std::move(ref));
+      }
+      if (cut == html.size()) break;
+    }
+    EXPECT_EQ(resumed, all) << "chunk " << chunk;
+  }
+}
+
 TEST(MicroscapeTest, CssReplacementsCoverStaticImages) {
   const auto reps = site().css_replacements();
   EXPECT_EQ(reps.size(), 40u);

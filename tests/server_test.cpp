@@ -303,6 +303,26 @@ TEST_F(ServerFixture, SiteUpdateChangesEtagAndContent) {
   EXPECT_FALSE(server_.site().update("/nope", {}, 0));
 }
 
+TEST(StaticSiteTest, UpdateDropsCachedImageReferences) {
+  // The push path caches an HTML resource's src= references on first use;
+  // a content update must not leave the old list behind.
+  server::StaticSite site;
+  server::Resource html;
+  html.path = "/index.html";
+  html.content_type = "text/html";
+  html.data = buf::Bytes(std::string_view("<img src=\"/a.gif\">"));
+  site.add(std::move(html));
+  const server::Resource* r = site.find("/index.html");
+  ASSERT_NE(r, nullptr);
+  r->image_refs = content::scan_image_references(r->data.view());
+  ASSERT_EQ(r->image_refs->size(), 1u);
+  const std::string_view next = "<img src=\"/b.gif\"><img src=\"/c.gif\">";
+  ASSERT_TRUE(site.update("/index.html",
+                          std::vector<std::uint8_t>(next.begin(), next.end()),
+                          http::kSimulationEpoch + 1));
+  EXPECT_FALSE(site.find("/index.html")->image_refs.has_value());
+}
+
 TEST_F(ServerFixture, VerboseHeadersAddBytes) {
   server::ServerConfig c = config();
   c.verbose_headers = true;
