@@ -148,6 +148,8 @@ int main() {
               static_cast<unsigned long long>(c.bytes_shared));
   std::printf("buffer block allocations          : %12llu\n",
               static_cast<unsigned long long>(c.allocations));
+  std::printf("chain node-array allocations      : %12llu\n",
+              static_cast<unsigned long long>(c.node_allocations));
   if (c.bytes_copied == 0 && c.bytes_shared == 0) {
     std::printf("(counters disabled: configure with -DHSIM_COUNT_COPIES=ON)\n");
   } else {

@@ -12,9 +12,14 @@ namespace {
 constexpr std::size_t kMinBlock = 512;
 constexpr std::size_t kMaxBlock = 64 * 1024;
 
+/// Consumed front slots are compacted away once there are at least this many
+/// and they make up at least half the node array.
+constexpr std::size_t kCompactMin = 16;
+
 std::shared_ptr<std::uint8_t[]> allocate_block(std::size_t n) {
   HSIM_BUF_COUNT(allocations, 1);
-  return std::shared_ptr<std::uint8_t[]>(new std::uint8_t[n]);
+  // One allocation holds the refcount and the bytes.
+  return std::make_shared_for_overwrite<std::uint8_t[]>(n);
 }
 
 }  // namespace
@@ -76,7 +81,10 @@ std::vector<std::uint8_t> Bytes::to_vector() const {
 
 Chain& Chain::operator=(const Chain& other) {
   if (this == &other) return *this;
-  nodes_ = other.nodes_;
+  const std::span<const Bytes> src = other.live();
+  if (src.size() > nodes_.capacity()) HSIM_BUF_COUNT(node_allocations, 1);
+  nodes_.assign(src.begin(), src.end());
+  head_ = 0;
   size_ = other.size_;
   tail_block_.reset();
   tail_cap_ = 0;
@@ -87,6 +95,7 @@ Chain& Chain::operator=(const Chain& other) {
 
 void Chain::clear() {
   nodes_.clear();
+  head_ = 0;
   size_ = 0;
   tail_block_.reset();
   tail_cap_ = 0;
@@ -95,7 +104,34 @@ void Chain::clear() {
 
 void Chain::push_node(Bytes bytes) {
   size_ += bytes.size();
+  if (nodes_.size() == nodes_.capacity()) {
+    // Reuse released front slots before growing the array.
+    if (head_ > 0 && 2 * head_ >= nodes_.size()) {
+      nodes_.erase(nodes_.begin(),
+                   nodes_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    } else {
+      HSIM_BUF_COUNT(node_allocations, 1);
+    }
+  }
   nodes_.push_back(std::move(bytes));
+}
+
+void Chain::reserve_nodes(std::size_t nodes) {
+  if (head_ + nodes <= nodes_.capacity()) return;
+  HSIM_BUF_COUNT(node_allocations, 1);
+  nodes_.reserve(head_ + nodes);
+}
+
+void Chain::release_consumed() {
+  if (head_ == nodes_.size()) {
+    nodes_.clear();
+    head_ = 0;
+  } else if (head_ >= kCompactMin && 2 * head_ >= nodes_.size()) {
+    nodes_.erase(nodes_.begin(),
+                 nodes_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 void Chain::append(Bytes bytes) {
@@ -117,16 +153,30 @@ void Chain::append(Bytes bytes) {
 }
 
 void Chain::append(const Chain& other) {
-  for (const Bytes& node : other.nodes_) append(node);
+  // The node count and the back node are captured up front. On self-append
+  // the array grows (and may compact, which resets head_) under the loop,
+  // and the back node may absorb an appended slice; every other original
+  // node stays at other.head_ + i.
+  const std::size_t count = other.node_count();
+  if (count == 0) return;
+  Bytes last = other.nodes_.back();
+  for (std::size_t i = 0; i + 1 < count; ++i)
+    append(other.nodes_[other.head_ + i]);
+  append(std::move(last));
 }
 
 void Chain::append(Chain&& other) {
+  if (this == &other) {
+    append(static_cast<const Chain&>(other));
+    return;
+  }
   if (nodes_.empty() && tail_block_ == nullptr) {
     *this = std::move(other);
     return;
   }
   HSIM_BUF_COUNT(bytes_shared, other.size_);
-  for (Bytes& node : other.nodes_) push_node(std::move(node));
+  for (std::size_t i = other.head_; i < other.nodes_.size(); ++i)
+    push_node(std::move(other.nodes_[i]));
   other.clear();
 }
 
@@ -176,29 +226,31 @@ void Chain::pop_front(std::size_t n) {
   n = std::min(n, size_);
   size_ -= n;
   while (n > 0) {
-    Bytes& front = nodes_.front();
+    Bytes& front = nodes_[head_];
     if (front.size() <= n) {
       n -= front.size();
-      nodes_.pop_front();
+      front = Bytes();
+      ++head_;
     } else {
       front.data_ += n;
       front.size_ -= n;
       n = 0;
     }
   }
+  release_consumed();
 }
 
 Chain Chain::split_front(std::size_t n) {
   n = std::min(n, size_);
   Chain out;
   while (n > 0) {
-    Bytes& front = nodes_.front();
+    Bytes& front = nodes_[head_];
     if (front.size() <= n) {
       n -= front.size();
       size_ -= front.size();
       HSIM_BUF_COUNT(bytes_shared, front.size());
       out.push_node(std::move(front));
-      nodes_.pop_front();
+      ++head_;
     } else {
       out.append(front.slice(0, n));
       front.data_ += n;
@@ -207,6 +259,7 @@ Chain Chain::split_front(std::size_t n) {
       n = 0;
     }
   }
+  release_consumed();
   return out;
 }
 
@@ -214,7 +267,7 @@ Chain Chain::slice(std::size_t pos, std::size_t n) const {
   pos = std::min(pos, size_);
   n = std::min(n, size_ - pos);
   Chain out;
-  for (const Bytes& node : nodes_) {
+  for (const Bytes& node : live()) {
     if (n == 0) break;
     if (pos >= node.size()) {
       pos -= node.size();
@@ -234,7 +287,7 @@ Bytes Chain::slice_bytes(std::size_t pos, std::size_t n) const {
   if (n == 0) return Bytes();
   // Zero-copy when the range lives inside one node.
   std::size_t skip = pos;
-  for (const Bytes& node : nodes_) {
+  for (const Bytes& node : live()) {
     if (skip < node.size()) {
       if (node.size() - skip >= n) return node.slice(skip, n);
       break;
@@ -249,7 +302,7 @@ Bytes Chain::slice_bytes(std::size_t pos, std::size_t n) const {
 }
 
 std::uint8_t Chain::operator[](std::size_t pos) const {
-  for (const Bytes& node : nodes_) {
+  for (const Bytes& node : live()) {
     if (pos < node.size()) return node[pos];
     pos -= node.size();
   }
@@ -259,7 +312,7 @@ std::uint8_t Chain::operator[](std::size_t pos) const {
 void Chain::copy_to(std::size_t pos, std::span<std::uint8_t> out) const {
   HSIM_BUF_COUNT(bytes_copied, out.size());
   std::size_t written = 0;
-  for (const Bytes& node : nodes_) {
+  for (const Bytes& node : live()) {
     if (written == out.size()) break;
     if (pos >= node.size()) {
       pos -= node.size();
@@ -296,7 +349,7 @@ std::size_t Chain::find(std::string_view needle, std::size_t from) const {
   // Walk nodes, using memchr within each for first-byte candidates, then
   // verify the remainder across node boundaries.
   std::size_t node_start = 0;  // absolute offset of nodes_[ni]
-  for (std::size_t ni = 0; ni < nodes_.size(); ++ni) {
+  for (std::size_t ni = head_; ni < nodes_.size(); ++ni) {
     const Bytes& node = nodes_[ni];
     if (from >= node_start + node.size()) {
       node_start += node.size();
@@ -340,7 +393,7 @@ std::size_t Chain::find(std::string_view needle, std::size_t from) const {
 bool Chain::operator==(const Chain& other) const {
   if (size_ != other.size_) return false;
   // Dual-cursor byte-run comparison without flattening.
-  std::size_t ai = 0, ao = 0, bi = 0, bo = 0;
+  std::size_t ai = head_, ao = 0, bi = other.head_, bo = 0;
   std::size_t remaining = size_;
   while (remaining > 0) {
     while (ao == nodes_[ai].size()) {
@@ -367,7 +420,7 @@ bool Chain::operator==(const Chain& other) const {
 bool Chain::equals(std::span<const std::uint8_t> data) const {
   if (size_ != data.size()) return false;
   std::size_t off = 0;
-  for (const Bytes& node : nodes_) {
+  for (const Bytes& node : live()) {
     if (node.size() > 0 &&
         std::memcmp(node.data(), data.data() + off, node.size()) != 0) {
       return false;

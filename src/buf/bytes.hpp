@@ -16,13 +16,13 @@
 // cached response bodies can safely alias buffers that are still growing.
 //
 // When compiled with -DHSIM_COUNT_COPIES the module counts every payload
-// byte that is memcpy'd versus merely shared, plus backing-block
-// allocations; `bench/micro_buffers` reports them (see EXPERIMENTS.md).
+// byte that is memcpy'd versus merely shared, plus backing-block and
+// node-array allocations; `bench/micro_buffers` reports them (see
+// EXPERIMENTS.md).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
@@ -37,6 +37,7 @@ struct CopyCounters {
   std::uint64_t bytes_copied = 0;  ///< payload bytes physically memcpy'd
   std::uint64_t bytes_shared = 0;  ///< payload bytes moved by reference only
   std::uint64_t allocations = 0;   ///< backing blocks allocated
+  std::uint64_t node_allocations = 0;  ///< Chain node arrays allocated
 
   void reset() { *this = CopyCounters{}; }
 };
@@ -113,6 +114,10 @@ class Bytes {
 /// Rope of immutable slices: O(1) amortised append (small copied appends
 /// coalesce into a shared growable tail block), O(1) zero-copy append of a
 /// Bytes/Chain, O(nodes) pop_front / split_front, zero-copy slicing.
+///
+/// Nodes live in one contiguous array; consumed front nodes are released at
+/// once and skipped by a head index, and the array is compacted lazily. An
+/// empty or moved-from Chain owns no allocation.
 class Chain {
  public:
   Chain() = default;
@@ -120,14 +125,17 @@ class Chain {
 
   // Copies share every node (refcount bumps) but never the writable tail:
   // at most one Chain may extend a block's spare capacity.
-  Chain(const Chain& other) : nodes_(other.nodes_), size_(other.size_) {
+  Chain(const Chain& other)
+      : nodes_(other.live().begin(), other.live().end()), size_(other.size_) {
     HSIM_BUF_COUNT(bytes_shared, size_);
+    HSIM_BUF_COUNT(node_allocations, nodes_.empty() ? 0 : 1);
   }
   Chain& operator=(const Chain& other);
   // Moves transfer the writable tail and leave the source empty (a defaulted
   // move would leave stale scalar members behind).
   Chain(Chain&& other) noexcept
       : nodes_(std::move(other.nodes_)),
+        head_(other.head_),
         size_(other.size_),
         tail_block_(std::move(other.tail_block_)),
         tail_cap_(other.tail_cap_),
@@ -137,6 +145,7 @@ class Chain {
   Chain& operator=(Chain&& other) noexcept {
     if (this != &other) {
       nodes_ = std::move(other.nodes_);
+      head_ = other.head_;
       size_ = other.size_;
       tail_block_ = std::move(other.tail_block_);
       tail_cap_ = other.tail_cap_;
@@ -152,6 +161,7 @@ class Chain {
 
   /// Appends a shared slice — no byte is copied.
   void append(Bytes bytes);
+  /// Self-append (`c.append(c)`) is defined: it doubles the contents.
   void append(const Chain& other);
   void append(Chain&& other);
 
@@ -192,7 +202,7 @@ class Chain {
   /// Invokes fn(std::span<const std::uint8_t>) for each contiguous run.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Bytes& node : nodes_) fn(node.span());
+    for (const Bytes& node : live()) fn(node.span());
   }
 
   bool operator==(const Chain& other) const;
@@ -202,14 +212,25 @@ class Chain {
         reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
   }
 
+  /// Sizes the node array for `nodes` live nodes, so that many appends of
+  /// separate slices allocate at most once.
+  void reserve_nodes(std::size_t nodes);
+
   /// Number of underlying slices (diagnostics / tests).
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const { return nodes_.size() - head_; }
 
  private:
+  std::span<const Bytes> live() const {
+    return std::span<const Bytes>(nodes_).subspan(head_);
+  }
   const std::uint8_t* tail_write_pos() const;
   void push_node(Bytes bytes);
+  void release_consumed();
 
-  std::deque<Bytes> nodes_;
+  // Live nodes are nodes_[head_, size()); the slots before head_ hold
+  // released (empty) nodes. nodes_ is empty whenever the chain has no node.
+  std::vector<Bytes> nodes_;
+  std::size_t head_ = 0;
   std::size_t size_ = 0;
 
   // Growable tail block: append_copy may extend the most recent node (or

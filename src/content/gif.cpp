@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 namespace hsim::content {
 
@@ -10,6 +9,43 @@ namespace {
 
 constexpr unsigned kMaxCodeWidth = 12;
 constexpr unsigned kMaxCodes = 1u << kMaxCodeWidth;
+
+/// The compressor's string table, open-addressed: (prefix_code << 8 | byte)
+/// -> code. Fewer than kMaxCodes entries are live between resets, so twice
+/// that many slots keep the load under one half.
+class LzwTable {
+ public:
+  LzwTable() : keys_(kSlots, kEmpty), codes_(kSlots) {}
+
+  /// The code stored for `key`, or nullptr.
+  const std::uint16_t* find(std::uint32_t key) const {
+    const std::size_t i = slot(key);
+    return keys_[i] == key ? &codes_[i] : nullptr;
+  }
+  /// Stores `code` for a `key` that is not in the table.
+  void insert(std::uint32_t key, std::uint32_t code) {
+    const std::size_t i = slot(key);
+    keys_[i] = key;
+    codes_[i] = static_cast<std::uint16_t>(code);
+  }
+  void clear() { std::fill(keys_.begin(), keys_.end(), kEmpty); }
+
+ private:
+  static constexpr unsigned kSlotBits = kMaxCodeWidth + 1;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  /// The slot holding `key`, or the empty slot where it would go (linear
+  /// probing from a multiplicative hash).
+  std::size_t slot(std::uint32_t key) const {
+    std::size_t i = (key * 2654435761u) >> (32 - kSlotBits);
+    while (keys_[i] != kEmpty && keys_[i] != key) i = (i + 1) & (kSlots - 1);
+    return i;
+  }
+
+  std::vector<std::uint32_t> keys_;
+  std::vector<std::uint16_t> codes_;
+};
 
 // LSB-first bit packer (GIF packs LZW codes LSB first, like DEFLATE).
 class LzwBitWriter {
@@ -116,8 +152,6 @@ std::vector<std::uint8_t> gif_lzw_compress(
   const std::uint32_t clear_code = 1u << min_code_size;
   const std::uint32_t eoi_code = clear_code + 1;
 
-  // Dictionary maps (prefix_code << 8 | byte) -> code.
-  std::map<std::uint32_t, std::uint32_t> dict;
   std::uint32_t next_code = eoi_code + 1;
   unsigned width = min_code_size + 1;
 
@@ -127,6 +161,7 @@ std::vector<std::uint8_t> gif_lzw_compress(
     return out.take();
   }
 
+  LzwTable dict;
   auto reset_dict = [&] {
     dict.clear();
     next_code = eoi_code + 1;
@@ -137,12 +172,12 @@ std::vector<std::uint8_t> gif_lzw_compress(
   for (std::size_t i = 1; i < indices.size(); ++i) {
     const std::uint8_t byte = indices[i];
     const std::uint32_t key = (current << 8) | byte;
-    if (auto it = dict.find(key); it != dict.end()) {
-      current = it->second;
+    if (const std::uint16_t* code = dict.find(key)) {
+      current = *code;
       continue;
     }
     out.write(current, width);
-    dict[key] = next_code++;
+    dict.insert(key, next_code++);
     // Widen when the next code to be EMITTED would not fit; GIF widens when
     // next_code exceeds the current width's range.
     if (next_code > (1u << width) && width < kMaxCodeWidth) {

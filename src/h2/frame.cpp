@@ -1,6 +1,8 @@
 #include "h2/frame.hpp"
 
 #include <array>
+#include <initializer_list>
+#include <string_view>
 
 namespace hsim::h2 {
 
@@ -27,6 +29,11 @@ std::uint32_t read_u32(const buf::Chain& c, std::size_t pos) {
          static_cast<std::uint32_t>(b[3]);
 }
 
+/// Wire size of one [u16 len][name][u16 len][value] entry.
+std::size_t entry_size(std::string_view name, std::string_view value) {
+  return 4 + name.size() + value.size();
+}
+
 void put_entry(std::vector<std::uint8_t>& out, std::string_view name,
                std::string_view value) {
   put_u16(out, static_cast<std::uint16_t>(name.size()));
@@ -35,32 +42,67 @@ void put_entry(std::vector<std::uint8_t>& out, std::string_view name,
   out.insert(out.end(), value.begin(), value.end());
 }
 
-/// Decodes one length-prefixed block into name/value pairs; nullopt on a
-/// truncated entry.
-std::optional<std::vector<std::pair<std::string, std::string>>> decode_entries(
-    const buf::Chain& block) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::size_t pos = 0;
-  const std::size_t n = block.size();
-  while (pos < n) {
-    if (pos + 2 > n) return std::nullopt;
-    std::array<std::uint8_t, 2> len{};
-    block.copy_to(pos, len);
-    std::size_t name_len = (static_cast<std::size_t>(len[0]) << 8) | len[1];
-    pos += 2;
-    if (pos + name_len > n) return std::nullopt;
-    std::string name = block.to_string(pos, name_len);
-    pos += name_len;
-    if (pos + 2 > n) return std::nullopt;
-    block.copy_to(pos, len);
-    std::size_t val_len = (static_cast<std::size_t>(len[0]) << 8) | len[1];
-    pos += 2;
-    if (pos + val_len > n) return std::nullopt;
-    std::string value = block.to_string(pos, val_len);
-    pos += val_len;
-    out.emplace_back(std::move(name), std::move(value));
+/// Encodes a header block: the pseudo-header entries, then `headers` in
+/// order, into one exactly sized block.
+buf::Chain encode_block(
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        pseudo,
+    const http::Headers& headers) {
+  std::size_t size = 0;
+  for (const auto& [name, value] : pseudo) size += entry_size(name, value);
+  for (const auto& [name, value] : headers.items())
+    size += entry_size(name, value);
+  std::vector<std::uint8_t> out;
+  out.reserve(size);
+  for (const auto& [name, value] : pseudo) put_entry(out, name, value);
+  for (const auto& [name, value] : headers.items())
+    put_entry(out, name, value);
+  return buf::Chain(buf::Bytes(std::move(out)));
+}
+
+/// Reads one [u16 len][bytes] field at `pos`, advancing past it; false if
+/// truncated.
+bool read_field(std::string_view text, std::size_t& pos,
+                std::string_view& out) {
+  if (text.size() - pos < 2) return false;
+  const std::size_t len =
+      (static_cast<std::size_t>(static_cast<std::uint8_t>(text[pos])) << 8) |
+      static_cast<std::uint8_t>(text[pos + 1]);
+  pos += 2;
+  if (text.size() - pos < len) return false;
+  out = text.substr(pos, len);
+  pos += len;
+  return true;
+}
+
+/// Decodes a block's entries, handing pseudo-headers (":name") to
+/// `on_pseudo` and adding the rest to `headers` in order. False on a
+/// truncated entry or when `on_pseudo` rejects one.
+template <typename OnPseudo>
+bool decode_block(const buf::Chain& block, http::Headers& headers,
+                  OnPseudo&& on_pseudo) {
+  // Zero-copy for a one-node block; one flattening copy otherwise.
+  const buf::Bytes flat = block.to_bytes();
+  const std::string_view text = flat.view();
+  std::string_view name, value;
+  // The first pass rejects truncation before anything is decoded and sizes
+  // the header list.
+  std::size_t count = 0;
+  for (std::size_t pos = 0; pos < text.size(); ++count) {
+    if (!read_field(text, pos, name) || !read_field(text, pos, value))
+      return false;
   }
-  return out;
+  headers.reserve(count);
+  for (std::size_t pos = 0; pos < text.size();) {
+    read_field(text, pos, name);
+    read_field(text, pos, value);
+    if (!name.empty() && name[0] == ':') {
+      if (!on_pseudo(name, value)) return false;
+    } else {
+      headers.add(std::string(name), std::string(value));
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -117,8 +159,10 @@ buf::Chain encode_frame(const Frame& frame) {
   hdr[6] = static_cast<std::uint8_t>((frame.stream_id >> 16) & 0xFF);
   hdr[7] = static_cast<std::uint8_t>((frame.stream_id >> 8) & 0xFF);
   hdr[8] = static_cast<std::uint8_t>(frame.stream_id & 0xFF);
+  // An exactly sized header block and one node array for the whole frame.
   buf::Chain out;
-  out.append_copy(std::span<const std::uint8_t>(hdr.data(), hdr.size()));
+  out.reserve_nodes(1 + frame.payload.node_count());
+  out.append(buf::Bytes(std::span<const std::uint8_t>(hdr.data(), hdr.size())));
   out.append(frame.payload);
   return out;
 }
@@ -187,71 +231,58 @@ std::optional<GoAway> parse_goaway_payload(const buf::Chain& payload) {
 }
 
 buf::Chain encode_request_block(const http::Request& req) {
-  std::vector<std::uint8_t> out;
-  put_entry(out, ":method", http::to_string(req.method));
-  put_entry(out, ":path", req.target);
-  for (const auto& [name, value] : req.headers.items())
-    put_entry(out, name, value);
-  return buf::Chain(buf::Bytes(std::move(out)));
+  return encode_block(
+      {{":method", http::to_string(req.method)}, {":path", req.target}},
+      req.headers);
 }
 
 buf::Chain encode_response_block(const http::Response& res) {
-  std::vector<std::uint8_t> out;
-  put_entry(out, ":status", std::to_string(res.status));
-  for (const auto& [name, value] : res.headers.items())
-    put_entry(out, name, value);
-  return buf::Chain(buf::Bytes(std::move(out)));
+  const std::string status = std::to_string(res.status);
+  return encode_block({{":status", status}}, res.headers);
 }
 
 std::optional<http::Request> decode_request_block(const buf::Chain& block) {
-  auto entries = decode_entries(block);
-  if (!entries) return std::nullopt;
   http::Request req;
   req.version = http::Version::kHttp11;
   bool saw_method = false, saw_path = false;
-  for (auto& [name, value] : *entries) {
-    if (name == ":method") {
-      auto m = http::parse_method(value);
-      if (!m) return std::nullopt;
-      req.method = *m;
-      saw_method = true;
-    } else if (name == ":path") {
-      req.target = value;
-      saw_path = true;
-    } else if (!name.empty() && name[0] == ':') {
-      return std::nullopt;  // unknown pseudo-header
-    } else {
-      req.headers.add(std::move(name), std::move(value));
-    }
-  }
-  if (!saw_method || !saw_path) return std::nullopt;
+  const bool ok = decode_block(
+      block, req.headers, [&](std::string_view name, std::string_view value) {
+        if (name == ":method") {
+          auto m = http::parse_method(value);
+          if (!m) return false;
+          req.method = *m;
+          saw_method = true;
+        } else if (name == ":path") {
+          req.target = value;
+          saw_path = true;
+        } else {
+          return false;  // unknown pseudo-header
+        }
+        return true;
+      });
+  if (!ok || !saw_method || !saw_path) return std::nullopt;
   return req;
 }
 
 std::optional<http::Response> decode_response_block(const buf::Chain& block) {
-  auto entries = decode_entries(block);
-  if (!entries) return std::nullopt;
   http::Response res;
   res.version = http::Version::kHttp11;
   bool saw_status = false;
-  for (auto& [name, value] : *entries) {
-    if (name == ":status") {
-      int status = 0;
-      for (char ch : value) {
-        if (ch < '0' || ch > '9') return std::nullopt;
-        status = status * 10 + (ch - '0');
-      }
-      if (status < 100 || status > 599) return std::nullopt;
-      res.status = status;
-      res.reason = std::string(http::default_reason(status));
-      saw_status = true;
-    } else if (!name.empty() && name[0] == ':') {
-      return std::nullopt;
-    } else {
-      res.headers.add(std::move(name), std::move(value));
-    }
-  }
-  if (!saw_status) return std::nullopt;
+  const bool ok = decode_block(
+      block, res.headers, [&](std::string_view name, std::string_view value) {
+        if (name != ":status") return false;
+        int status = 0;
+        for (char ch : value) {
+          if (ch < '0' || ch > '9') return false;
+          status = status * 10 + (ch - '0');
+        }
+        if (status < 100 || status > 599) return false;
+        res.status = status;
+        res.reason = std::string(http::default_reason(status));
+        saw_status = true;
+        return true;
+      });
+  if (!ok || !saw_status) return std::nullopt;
   return res;
 }
 

@@ -1,5 +1,9 @@
 #include "harness/experiment.hpp"
 
+#include <list>
+#include <mutex>
+#include <optional>
+
 #include "harness/parallel.hpp"
 #include "server/static_site.hpp"
 
@@ -9,6 +13,26 @@ namespace {
 constexpr net::IpAddr kClientAddr = 1;
 constexpr net::IpAddr kServerAddr = 2;
 constexpr net::Port kHttpPort = 80;
+
+/// A process-lifetime site and its server site, built on first request.
+struct SharedSite {
+  content::MicroscapeSite site;
+  std::optional<server::StaticSite> server;
+};
+
+std::mutex g_shared_mu;
+
+/// Every site handed out by shared_site()/shared_modern_site(), registered
+/// as it is built so server_site() recognises one without building any.
+std::list<SharedSite>& shared_sites() {
+  static std::list<SharedSite> sites;
+  return sites;
+}
+
+const content::MicroscapeSite& keep_shared(content::MicroscapeSite site) {
+  std::lock_guard lock(g_shared_mu);
+  return shared_sites().emplace_back(SharedSite{std::move(site), {}}).site;
+}
 }  // namespace
 
 std::string_view to_string(Scenario s) {
@@ -97,9 +121,8 @@ RunResult run_once(const ExperimentSpec& spec,
 
   net::PacketTrace trace(kClientAddr);
 
-  server::HttpServer server(server_host,
-                            server::StaticSite::from_microscape(site),
-                            spec.server, rng.fork());
+  server::HttpServer server(server_host, server_site(site), spec.server,
+                            rng.fork());
   server.start(kHttpPort);
 
   client::ClientConfig client_config = spec.client;
@@ -189,16 +212,30 @@ AveragedResult run_averaged(const ExperimentSpec& spec,
 }
 
 const content::MicroscapeSite& shared_site() {
-  static const content::MicroscapeSite site = content::build_microscape();
+  static const content::MicroscapeSite& site =
+      keep_shared(content::build_microscape());
   return site;
 }
 
 const content::MicroscapeSite& shared_modern_site(content::ModernCodec codec) {
-  static const content::MicroscapeSite webp =
-      content::modernize_site(shared_site(), content::ModernCodec::kWebP);
-  static const content::MicroscapeSite avif =
-      content::modernize_site(shared_site(), content::ModernCodec::kAvif);
+  static const content::MicroscapeSite& webp = keep_shared(
+      content::modernize_site(shared_site(), content::ModernCodec::kWebP));
+  static const content::MicroscapeSite& avif = keep_shared(
+      content::modernize_site(shared_site(), content::ModernCodec::kAvif));
   return codec == content::ModernCodec::kWebP ? webp : avif;
+}
+
+server::StaticSite server_site(const content::MicroscapeSite& site) {
+  {
+    std::lock_guard lock(g_shared_mu);
+    for (SharedSite& shared : shared_sites()) {
+      if (&shared.site != &site) continue;
+      if (!shared.server)
+        shared.server = server::StaticSite::from_microscape(shared.site);
+      return *shared.server;
+    }
+  }
+  return server::StaticSite::from_microscape(site);
 }
 
 }  // namespace hsim::harness

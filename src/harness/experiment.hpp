@@ -119,6 +119,11 @@ const content::MicroscapeSite& shared_site();
 const content::MicroscapeSite& shared_modern_site(
     content::ModernCodec codec = content::ModernCodec::kWebP);
 
+/// The server's resource store for `site`. For a site from shared_site() or
+/// shared_modern_site() it is built once per process and copied (the copies
+/// share every resource's bytes); any other site is built fresh.
+server::StaticSite server_site(const content::MicroscapeSite& site);
+
 /// Client configuration presets matching the paper's four protocol rows.
 client::ClientConfig robot_config(client::ProtocolMode mode);
 

@@ -205,7 +205,7 @@ WorkloadResult run_workload_sharded(const WorkloadConfig& config,
     server_host.attach_uplink(bottleneck_down.get());
 
     server = std::make_unique<server::HttpServer>(
-        server_host, server::StaticSite::from_microscape(site), server_config,
+        server_host, server_site(site), server_config,
         server_rng.fork());
     server->start(80);
 
@@ -285,7 +285,7 @@ WorkloadResult run_workload_sharded(const WorkloadConfig& config,
     if (config.on_topology) config.on_topology(topo, queue0);
 
     server = std::make_unique<server::HttpServer>(
-        server_host, server::StaticSite::from_microscape(site), server_config,
+        server_host, server_site(site), server_config,
         server_rng.fork());
     server->start(80);
 
@@ -494,9 +494,8 @@ RunResult run_once_sharded(const ExperimentSpec& spec,
     }
   });
 
-  server::HttpServer server(server_host,
-                            server::StaticSite::from_microscape(site),
-                            spec.server, rng.fork());
+  server::HttpServer server(server_host, server_site(site), spec.server,
+                            rng.fork());
   server.start(kOnceHttpPort);
 
   obs::set_registry(regs[0].get());

@@ -209,7 +209,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     server_host.attach_uplink(bottleneck_down.get());
 
     server = std::make_unique<server::HttpServer>(
-        server_host, server::StaticSite::from_microscape(site), server_config,
+        server_host, server_site(site), server_config,
         server_rng.fork());
     server->start(80);
 
@@ -264,7 +264,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     if (config.on_topology) config.on_topology(topo, queue);
 
     server = std::make_unique<server::HttpServer>(
-        server_host, server::StaticSite::from_microscape(site), server_config,
+        server_host, server_site(site), server_config,
         server_rng.fork());
     server->start(80);
 

@@ -39,6 +39,7 @@ class Headers {
     return items_;
   }
   std::size_t size() const { return items_.size(); }
+  void reserve(std::size_t n) { items_.reserve(n); }
   void clear() { items_.clear(); }
 
   /// Bytes these headers occupy on the wire (incl. per-line CRLF, excl. the

@@ -184,5 +184,59 @@ TEST(GifTest, PhotoCompressesWorseThanBanner) {
   EXPECT_GT(photo_gif.size(), 2 * banner_gif.size());
 }
 
+// FNV-1a 64-bit digest: pins encoder output byte for byte.
+std::uint64_t fnv1a(std::span<const std::uint8_t> data) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint8_t b : data) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// xorshift32 symbols in [0, mod): fixed here so the pins do not depend on
+// sim::Rng.
+std::vector<std::uint8_t> xorshift_symbols(std::size_t n, unsigned mod,
+                                           std::uint32_t seed) {
+  std::vector<std::uint8_t> out(n);
+  std::uint32_t x = seed;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::uint8_t>(x % mod);
+  }
+  return out;
+}
+
+TEST(LzwTest, CompressorOutputIsPinnedAcrossTableResets) {
+  // The first three inputs emit far more than 4096 codes, so the encoder
+  // clears its string table several times; the last stays below one reset.
+  struct Pin {
+    std::size_t n;
+    unsigned mod;
+    std::uint32_t seed;
+    unsigned min_code_size;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {20'000, 256, 1, 8, 27'300, 0xedd2cfad2ee43ca6ull},
+      {60'000, 4, 2, 2, 17'314, 0xf94f8561696cbf2eull},
+      {100'000, 16, 3, 4, 60'742, 0x3f53fbb7f469cdbfull},
+      {30'000, 2, 4, 2, 4'495, 0xd990a504d209e1d6ull},
+  };
+  for (const Pin& pin : pins) {
+    const auto data = xorshift_symbols(pin.n, pin.mod, pin.seed);
+    const auto compressed = gif_lzw_compress(data, pin.min_code_size);
+    EXPECT_EQ(compressed.size(), pin.size) << pin.n << "/" << pin.mod;
+    EXPECT_EQ(fnv1a(compressed), pin.digest) << pin.n << "/" << pin.mod;
+    const auto decompressed =
+        gif_lzw_decompress(compressed, pin.min_code_size);
+    ASSERT_TRUE(decompressed.has_value());
+    EXPECT_EQ(*decompressed, data);
+  }
+}
+
 }  // namespace
 }  // namespace hsim::content

@@ -162,6 +162,22 @@ TEST(CssTest, SolutionsBannerSnippetIsPaperSized) {
   EXPECT_LE(css.size(), 200u);
 }
 
+TEST(MicroscapeTest, GifBytesArePinned) {
+  // FNV-1a 64 over the 42 GIFs concatenated in page order: any change to
+  // image synthesis or the GIF/LZW encoder shows here.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::size_t total = 0;
+  for (const auto& img : site().images) {
+    for (std::uint8_t b : img.gif_bytes) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+    total += img.gif_bytes.size();
+  }
+  EXPECT_EQ(total, 125'711u);
+  EXPECT_EQ(h, 0x47725a2fd8f64cc4ull);
+}
+
 TEST(CssTest, Figure1SolutionsBannerRatio) {
   // Figure 1: a 682-byte GIF replaced by ~150 bytes => factor > 4.
   const auto& images = site().images;
