@@ -6,7 +6,6 @@
 
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
-#include "server/static_site.hpp"
 
 namespace {
 
@@ -38,7 +37,7 @@ Outcome run(bool with_ranges, const harness::NetworkProfile& network) {
   net::PacketTrace trace(1);
 
   server::HttpServer server(server_host,
-                            server::StaticSite::from_microscape(site),
+                            harness::server_site(site),
                             server::apache_config(), rng.fork());
   server.start(80);
   client::ClientConfig config =

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "harness/experiment.hpp"
-#include "server/static_site.hpp"
 
 int main() {
   using namespace hsim;
@@ -36,7 +35,7 @@ int main() {
     client_host.attach_uplink(&channel.uplink_from_a());
     server_host.attach_uplink(&channel.uplink_from_b());
     server::HttpServer server(server_host,
-                              server::StaticSite::from_microscape(site),
+                              harness::server_site(site),
                               server::jigsaw_config(), rng.fork());
     server.start(80);
     client::ClientConfig config = harness::robot_config(mode);

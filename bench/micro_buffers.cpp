@@ -39,7 +39,8 @@ volatile std::uint8_t g_sink = 0;  // defeat dead-code elimination
 void enqueue_old(const std::vector<std::uint8_t>& asset) {
   std::vector<std::uint8_t> out_buffer;
   for (int i = 0; i < kRounds; ++i) {
-    out_buffer.assign(asset.begin(), asset.end());
+    out_buffer.resize(asset.size());
+    std::memcpy(out_buffer.data(), asset.data(), asset.size());
     g_sink = out_buffer[i % out_buffer.size()];
   }
 }

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "harness/experiment.hpp"
-#include "server/static_site.hpp"
 
 int main() {
   using namespace hsim;
@@ -23,7 +22,7 @@ int main() {
   server_host.attach_uplink(&channel.uplink_from_b());
 
   server::HttpServer server(server_host,
-                            server::StaticSite::from_microscape(site),
+                            harness::server_site(site),
                             server::apache_config(), rng.fork());
   server.start(80);
 

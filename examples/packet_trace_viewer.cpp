@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "harness/experiment.hpp"
-#include "server/static_site.hpp"
 
 int main() {
   using namespace hsim;
@@ -25,7 +24,7 @@ int main() {
   channel.set_trace(&trace);
 
   server::HttpServer server(server_host,
-                            server::StaticSite::from_microscape(site),
+                            harness::server_site(site),
                             server::jigsaw_config(), rng.fork());
   server.start(80);
   client::Robot robot(

@@ -9,7 +9,6 @@
 #include "http/parser.hpp"
 #include "proxy/proxy.hpp"
 #include "server/server.hpp"
-#include "server/static_site.hpp"
 
 namespace {
 using namespace hsim;
@@ -50,7 +49,7 @@ void run(bool strip_connection_headers) {
   oc.keep_alive = true;
   oc.idle_timeout = sim::seconds(300);
   server::HttpServer origin_server(
-      origin, server::StaticSite::from_microscape(harness::shared_site()), oc,
+      origin, harness::server_site(harness::shared_site()), oc,
       rng.fork());
   origin_server.start(80);
 

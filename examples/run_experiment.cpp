@@ -39,7 +39,6 @@
 #include "harness/chaos.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
-#include "server/static_site.hpp"
 
 namespace {
 
@@ -220,7 +219,7 @@ int run_trace_format(const Options& o) {
   net::PacketTrace trace(1);
   channel.set_trace(&trace);
   server::HttpServer server(server_host,
-                            server::StaticSite::from_microscape(site),
+                            harness::server_site(site),
                             spec.server, rng.fork());
   server.start(80);
   client::ClientConfig config = spec.client;

@@ -248,9 +248,8 @@ std::optional<std::vector<std::uint8_t>> gif_lzw_decompress(
 }
 
 std::vector<std::uint8_t> encode_gif(const IndexedImage& image) {
-  std::vector<std::uint8_t> out;
   const char* sig = "GIF87a";
-  out.insert(out.end(), sig, sig + 6);
+  std::vector<std::uint8_t> out(sig, sig + 6);
   append_u16(out, image.width);
   append_u16(out, image.height);
   const unsigned pf = palette_field(image);
@@ -264,11 +263,10 @@ std::vector<std::uint8_t> encode_gif(const IndexedImage& image) {
 }
 
 std::vector<std::uint8_t> encode_animated_gif(const Animation& animation) {
-  std::vector<std::uint8_t> out;
-  if (animation.frames.empty()) return out;
+  if (animation.frames.empty()) return {};
   const IndexedImage& first = animation.frames.front();
   const char* sig = "GIF89a";
-  out.insert(out.end(), sig, sig + 6);
+  std::vector<std::uint8_t> out(sig, sig + 6);
   append_u16(out, first.width);
   append_u16(out, first.height);
   const unsigned pf = palette_field(first);

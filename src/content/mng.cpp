@@ -40,9 +40,8 @@ void append_chunk(std::vector<std::uint8_t>& out, const char type[4],
 }  // namespace
 
 std::vector<std::uint8_t> encode_mng(const Animation& animation) {
-  std::vector<std::uint8_t> out;
-  if (animation.frames.empty()) return out;
-  out.insert(out.end(), kMngSignature, kMngSignature + 8);
+  if (animation.frames.empty()) return {};
+  std::vector<std::uint8_t> out(kMngSignature, kMngSignature + 8);
 
   const IndexedImage& first = animation.frames.front();
   std::vector<std::uint8_t> mhdr;

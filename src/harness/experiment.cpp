@@ -4,7 +4,6 @@
 #include <mutex>
 #include <optional>
 
-#include "harness/parallel.hpp"
 #include "server/static_site.hpp"
 
 namespace hsim::harness {
@@ -86,14 +85,6 @@ client::ClientConfig msie_client_config(bool broken_revalidation) {
 
 RunResult run_once(const ExperimentSpec& spec,
                    const content::MicroscapeSite& site) {
-  // Sharded-engine dispatch, mirroring run_workload: config knob first, then
-  // the HSIM_THREADS environment hook; zero-lookahead channels stay classic.
-  const unsigned threads =
-      spec.threads != 0 ? spec.threads : threads_from_env();
-  if (threads != 0 && run_once_lookahead(spec) >= 1) {
-    return run_once_sharded(spec, site, threads);
-  }
-
   // One registry per run, installed before any instrumented component is
   // built so every Metrics::bind() resolves against it. The registry dies
   // with this frame; RunResult carries a Snapshot instead.

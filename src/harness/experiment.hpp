@@ -56,13 +56,6 @@ struct ExperimentSpec {
   /// Record per-connection TCP timelines (state transitions, cwnd moves,
   /// segment sends/receives). Off by default: timelines allocate.
   bool conn_timelines = false;
-  /// Parallel engine selector, mirroring WorkloadConfig::threads: 0 = the
-  /// classic single-queue driver (HSIM_THREADS may promote it), >= 1 = the
-  /// two-shard engine (client shard / server shard) with that many worker
-  /// threads. The shard count is fixed at 2, so every threads >= 1 value is
-  /// byte-identical. Timeline capture (conn_timelines) stays per-shard in
-  /// sharded runs: the merged snapshot carries no timelines.
-  unsigned threads = 0;
 };
 
 struct RunResult {

@@ -5,10 +5,10 @@
 #include <memory>
 
 #include "harness/chaos.hpp"
-#include "harness/parallel.hpp"
 #include "net/link.hpp"
 #include "server/static_site.hpp"
 #include "sim/flat_hash_map.hpp"
+#include "sim/shard.hpp"
 #include "topo/topology.hpp"
 
 namespace hsim::harness {
@@ -39,6 +39,44 @@ struct Fanout : net::PacketSink {
     }
   }
 };
+
+/// Conservative lookahead of a sharded run: the minimum worst-case-jitter
+/// latency (net::config_min_latency, usable before any link exists) over
+/// every link that crosses a shard boundary. < 1 ns means the topology
+/// cannot be split and runs as one shard. Netem dynamics only ever raise
+/// the bound.
+sim::Time workload_lookahead(const WorkloadConfig& config,
+                             const net::ChannelConfig& access) {
+  if (config.topology == TopologyKind::kStar) {
+    // Crossing links: every client uplink (a_to_b) into the funnel, and the
+    // bottleneck downlink fanning out to the client shards.
+    net::LinkConfig bn;
+    bn.propagation_delay = config.bottleneck_delay;
+    return std::min(net::config_min_latency(access.a_to_b),
+                    net::config_min_latency(bn));
+  }
+  // Dumbbell shapes: only the client access legs cross (uplink into the gate
+  // router, gate's fan-out egress back to the client host); routers and the
+  // bottleneck pair(s) are wholly shard-0.
+  return std::min(net::config_min_latency(access.a_to_b),
+                  net::config_min_latency(access.b_to_a));
+}
+
+/// Routes the deliveries of a link driven from shard `src` to its sink on
+/// shard `dst`, at the link-computed arrival time; a link whose sink shares
+/// its shard keeps delivering locally. The sink pointer is captured now —
+/// callers wire sinks before hooks.
+void cross_deliver(sim::ShardedEngine& engine, std::size_t src,
+                   std::size_t dst, net::Link& link) {
+  if (src == dst) return;
+  net::PacketSink* sink = link.sink();
+  link.set_remote_deliver(
+      [&engine, dst, sink](sim::Time when, net::Packet packet) {
+        engine.post(dst, when, [sink, p = std::move(packet)]() mutable {
+          sink->deliver(std::move(p));
+        });
+      });
+}
 
 }  // namespace
 
@@ -114,25 +152,7 @@ double WorkloadResult::jain_fairness_index() const {
 
 WorkloadResult run_workload(const WorkloadConfig& config,
                             const content::MicroscapeSite& site) {
-  // Sharded-engine dispatch: an explicit config knob wins, else HSIM_THREADS
-  // promotes existing binaries at runtime. Topologies without a nanosecond of
-  // cross-shard lookahead (zero-delay access legs) stay on the classic path.
-  const unsigned threads =
-      config.threads != 0 ? config.threads : threads_from_env();
-  if (threads != 0 && config.num_clients > 0 &&
-      workload_lookahead(config) >= 1) {
-    return run_workload_sharded(config, site, threads);
-  }
-
-  // Fresh registry per run (see run_once): installed before the first
-  // instrumented component so all handles bind to it.
-  obs::Registry registry;
-  obs::ScopedRegistry scoped(&registry);
-
   const unsigned n = config.num_clients;
-  sim::EventQueue queue;
-  queue.reserve(64 + 16 * static_cast<std::size_t>(n));
-
   const bool redundant = config.topology == TopologyKind::kDumbbellRedundant;
   const bool dumbbell = config.topology != TopologyKind::kStar;
   // Bottleneck link names depend on the shape; the redundant dumbbell has a
@@ -143,18 +163,50 @@ WorkloadResult run_workload(const WorkloadConfig& config,
           ? std::vector<std::string>{"bnA.up", "bnA.down", "bnB.up", "bnB.down"}
           : std::vector<std::string>{"bn.up", "bn.down"};
 
-  // ---- Shared side: server host, bottleneck, aggregation points ----
-  sim::Rng server_rng(derive_seed(config.master_seed, kServerSeedSalt));
-  tcp::Host server_host(queue, kServerAddr, "server", server_rng.fork());
-
-  net::TraceSummarizer bottleneck_trace(kServerAddr);
-  const auto tap = [&bottleneck_trace, &queue](const net::Packet& p) {
-    bottleneck_trace.record(queue.now(), p);
-  };
-
   net::ChannelConfig access = config.access.channel_config();
   if (config.mutate_access) config.mutate_access(access);
   apply_profile_overlay(config.profile, access);
+
+  // Fixed partition: shard 0 = server + shared infrastructure, clients
+  // round-robin over the remaining S-1 shards. S comes from config, never
+  // from the thread count, so results are thread-count invariant. The
+  // classic layout (threads == 0, or no nanosecond of cross-shard lookahead)
+  // is the one-shard partition: everything on shard 0, one registry.
+  const sim::Time lookahead =
+      config.threads != 0 && n > 0 ? workload_lookahead(config, access) : 0;
+  std::size_t S = 1;
+  if (lookahead >= 1) {
+    S = config.shards != 0 ? std::max<std::size_t>(2, config.shards)
+                           : 1 + std::min<std::size_t>(n, 8);
+  }
+  const auto shard_of_client = [S](unsigned i) -> std::size_t {
+    return S == 1 ? 0 : 1 + (i % (S - 1));
+  };
+
+  // One registry per shard, installed before the first instrumented
+  // component so all handles bind to it; each slice installs its shard's
+  // registry (the obs registry pointer is thread-local). Several shards'
+  // registries are merged into `merged` after the run. All of them outlive
+  // the engine and every component.
+  obs::Registry merged;
+  std::vector<obs::Registry> regs(S);
+  obs::ScopedRegistry scoped(&regs[0]);
+
+  sim::ShardedEngine engine({S, config.threads, lookahead});
+  sim::EventQueue& queue0 = engine.queue(0);
+  queue0.reserve(64 + 16 * static_cast<std::size_t>(n) / S);
+  engine.set_shard_enter(
+      [&regs](std::size_t s) { obs::set_registry(&regs[s]); });
+
+  // ---- Shared side (shard 0): server host, bottleneck, aggregation ----
+  sim::Rng server_rng(derive_seed(config.master_seed, kServerSeedSalt));
+  tcp::Host server_host(queue0, kServerAddr, "server", server_rng.fork());
+
+  net::TraceSummarizer bottleneck_trace(kServerAddr);
+  const auto tap = [&bottleneck_trace, &queue0](const net::Packet& p) {
+    bottleneck_trace.record(queue0.now(), p);
+  };
+
   std::vector<std::unique_ptr<tcp::Host>> hosts;
   std::vector<std::unique_ptr<net::Link>> links;  // star: owns up+down per client
   std::vector<std::unique_ptr<client::Robot>> robots;
@@ -197,9 +249,9 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     bn_cfg.propagation_delay = config.bottleneck_delay;
     bn_cfg.queue_limit_packets = config.bottleneck_queue_packets;
     bottleneck_up =
-        std::make_unique<net::Link>(queue, bn_cfg, server_rng.fork());
+        std::make_unique<net::Link>(queue0, bn_cfg, server_rng.fork());
     bottleneck_down =
-        std::make_unique<net::Link>(queue, bn_cfg, server_rng.fork());
+        std::make_unique<net::Link>(queue0, bn_cfg, server_rng.fork());
     bottleneck_up->set_tap(tap);
     bottleneck_down->set_tap(tap);
 
@@ -213,16 +265,19 @@ WorkloadResult run_workload(const WorkloadConfig& config,
         server_rng.fork());
     server->start(80);
 
-    // Per-client side: host, access links, robot.
+    // Per-client side: host, access links, robot, all on the client's shard.
     links.reserve(2 * static_cast<std::size_t>(n));
     for (unsigned i = 0; i < n; ++i) {
+      const std::size_t cs = shard_of_client(i);
+      obs::set_registry(&regs[cs]);
+      sim::EventQueue& cq = engine.queue(cs);
       sim::Rng crng(derive_seed(config.master_seed, kClientSeedSalt + i));
       auto host = std::make_unique<tcp::Host>(
-          queue, client_addr(i), "client" + std::to_string(i), crng.fork());
-      auto up = std::make_unique<net::Link>(queue, access.a_to_b, crng.fork());
-      auto down =
-          std::make_unique<net::Link>(queue, access.b_to_a, crng.fork());
+          cq, client_addr(i), "client" + std::to_string(i), crng.fork());
+      auto up = std::make_unique<net::Link>(cq, access.a_to_b, crng.fork());
+      auto down = std::make_unique<net::Link>(cq, access.b_to_a, crng.fork());
       up->set_sink(&funnel);
+      cross_deliver(engine, cs, 0, *up);
       down->set_sink(host.get());
       fanout.routes[client_addr(i)] = down.get();
       host->attach_uplink(up.get());
@@ -232,6 +287,24 @@ WorkloadResult run_workload(const WorkloadConfig& config,
       links.push_back(std::move(up));
       links.push_back(std::move(down));
     }
+    // The bottleneck downlink fans out per packet: deliveries cross to the
+    // destination client's shard, where Fanout's (read-only by now) route
+    // table hands the packet to that client's own downlink.
+    if (S > 1) {
+      bottleneck_down->set_remote_deliver(
+          [&engine, &fanout, &shard_of_client, n](sim::Time when,
+                                                  net::Packet packet) {
+            const bool known =
+                packet.dst >= client_addr(0) && packet.dst < client_addr(n);
+            const std::size_t dst =
+                known ? shard_of_client(
+                            static_cast<unsigned>(packet.dst - client_addr(0)))
+                      : 0;
+            engine.post(dst, when, [&fanout, p = std::move(packet)]() mutable {
+              fanout.deliver(std::move(p));
+            });
+          });
+    }
   } else {
     // Client hosts first (same per-client seed scheme as the star path; the
     // access links are built by the topology from its own kTopoSeedSalt
@@ -239,11 +312,15 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     std::vector<tcp::Host*> client_hosts;
     client_hosts.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
+      const std::size_t cs = shard_of_client(i);
+      obs::set_registry(&regs[cs]);
       sim::Rng crng(derive_seed(config.master_seed, kClientSeedSalt + i));
       hosts.push_back(std::make_unique<tcp::Host>(
-          queue, client_addr(i), "client" + std::to_string(i), crng.fork()));
+          engine.queue(cs), client_addr(i), "client" + std::to_string(i),
+          crng.fork()));
       client_hosts.push_back(hosts.back().get());
     }
+    obs::set_registry(&regs[0]);
 
     topo::BottleneckSpec spec;
     spec.bandwidth_bps = config.bottleneck_bandwidth_bps;
@@ -255,26 +332,45 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     spec.mutate_link = config.mutate_bottleneck;
 
     topo::TopologyBuilder builder(
-        queue, sim::Rng(derive_seed(config.master_seed, kTopoSeedSalt)));
+        queue0, sim::Rng(derive_seed(config.master_seed, kTopoSeedSalt)));
+    // Each client uplink is driven by its host, so it lives on the client's
+    // shard; routers, disciplines, the bottleneck pair(s) and the downlinks
+    // stay on shard 0.
+    builder.set_uplink_placement(
+        [&](std::size_t i) -> topo::TopologyBuilder::UplinkPlacement {
+          const std::size_t cs = shard_of_client(static_cast<unsigned>(i));
+          return {&engine.queue(cs), &regs[cs]};
+        });
     topo = redundant ? builder.dumbbell_redundant(client_hosts, &server_host,
                                                   access, spec, config.failover)
                      : builder.dumbbell(client_hosts, &server_host, access, spec);
     for (const std::string& name : bn_links) topo.link(name)->set_tap(tap);
     if (config.hop_trace) topo.set_hop_trace(config.hop_trace);
-    if (config.on_topology) config.on_topology(topo, queue);
+    if (config.on_topology) config.on_topology(topo, queue0);
 
     server = std::make_unique<server::HttpServer>(
         server_host, server_site(site), server_config,
         server_rng.fork());
     server->start(80);
 
+    // Each uplink delivers into the gate router on shard 0; each downlink (a
+    // shard-0 gate egress) delivers back to its client.
     for (unsigned i = 0; i < n; ++i) {
+      const std::size_t cs = shard_of_client(i);
+      const std::string base = "client" + std::to_string(i);
+      cross_deliver(engine, cs, 0, *topo.link(base + ".up"));
+      cross_deliver(engine, 0, cs, *topo.link(base + ".down"));
+    }
+
+    for (unsigned i = 0; i < n; ++i) {
+      obs::set_registry(&regs[shard_of_client(i)]);
       robots.push_back(std::make_unique<client::Robot>(
           *hosts[i], kServerAddr, 80, client_config_for(i)));
     }
   }
+  obs::set_registry(&regs[0]);
 
-  // ---- Arrival process ----
+  // ---- Arrival process (scheduled on each client's shard) ----
   sim::Rng arrival_rng(derive_seed(config.master_seed, kArrivalSeedSalt));
   std::vector<sim::Time> arrivals(n, 0);
   sim::Time t = 0;
@@ -291,23 +387,42 @@ WorkloadResult run_workload(const WorkloadConfig& config,
 
   std::vector<char> resolved(n, 0);
   for (unsigned i = 0; i < n; ++i) {
-    queue.schedule_at(arrivals[i], [&, i] {
+    engine.queue(shard_of_client(i)).schedule_at(arrivals[i], [&, i] {
       robots[i]->start_first_visit(config.root,
                                    [&resolved, i] { resolved[i] = 1; });
     });
   }
 
   if (config.epoch > 0 && config.on_epoch) {
-    for (sim::Time te = config.epoch; te <= config.horizon;
-         te += config.epoch) {
-      queue.schedule_at(te, [&config] { config.on_epoch(); });
-    }
+    // Oracles fire at barriers with every worker parked. One shard's
+    // registry is the ambient one already; several are merged in shard
+    // order into a scratch view, so counter monotonicity holds epoch over
+    // epoch.
+    const auto on_epoch = [&config, &regs](sim::Time) {
+      if (regs.size() == 1) {
+        config.on_epoch();
+        return;
+      }
+      obs::Registry epoch_view;
+      for (const obs::Registry& reg : regs) epoch_view.merge_from(reg);
+      obs::ScopedRegistry in_epoch(&epoch_view);
+      config.on_epoch();
+    };
+    engine.set_epochs(config.epoch, config.horizon, on_epoch);
   }
 
-  std::size_t events = queue.run_until(config.horizon);
+  std::size_t events = engine.run_until(config.horizon);
   // Allow FIN exchanges, idle timeouts and TIME_WAIT to drain so that the
   // connection-leak accounting below reflects steady state.
-  events += queue.run_until(queue.now() + config.drain);
+  events += engine.run_until(engine.now() + config.drain);
+
+  // Results come from one registry: shard 0's own, or the shard-order merge.
+  obs::Registry* registry = &regs[0];
+  if (S > 1) {
+    for (const obs::Registry& reg : regs) merged.merge_from(reg);
+    registry = &merged;
+  }
+  obs::set_registry(registry);
 
   // ---- Collect ----
   WorkloadResult result;
@@ -330,11 +445,11 @@ WorkloadResult run_workload(const WorkloadConfig& config,
           cache_matches_site(robots[i]->cache(), site, config.root);
     }
   }
-  // Registry-backed, like run_once: the summarizer feeds the trace.* metrics
-  // per packet, and summary_from_metrics rebuilds the identical summary.
-  result.bottleneck = net::summary_from_metrics(registry);
-  result.bottleneck_syns = registry.counter_value("trace.syn_packets");
-  result.tcp_retransmits = registry.counter_value("tcp.retransmits");
+  // The summarizer feeds the trace.* metrics per packet, and
+  // summary_from_metrics rebuilds the identical summary.
+  result.bottleneck = net::summary_from_metrics(*registry);
+  result.bottleneck_syns = registry->counter_value("trace.syn_packets");
+  result.tcp_retransmits = registry->counter_value("tcp.retransmits");
   if (!dumbbell) {
     result.bottleneck_queue_drops =
         bottleneck_up->stats().packets_dropped_queue +
@@ -361,8 +476,8 @@ WorkloadResult run_workload(const WorkloadConfig& config,
   result.server_connections_total = server_host.total_connections_created();
   result.server_max_open = server_host.max_simultaneous_connections();
   result.server_open_after_drain = server_host.open_connections();
-  if (config.metrics_sink) config.metrics_sink->consume(registry);
-  result.metrics = registry.snapshot();
+  if (config.metrics_sink) config.metrics_sink->consume(*registry);
+  result.metrics = registry->snapshot();
   return result;
 }
 

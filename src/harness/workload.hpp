@@ -29,6 +29,14 @@
 //     client 0 ── access ──┐                    ┌── server
 //     client 1 ── access ──┤ gate ══ qdisc ══ core
 //     client N ── access ──┘    bottleneck pair
+//
+// Every run is built on sim::ShardedEngine. The default (threads == 0) is the
+// one-shard partition — one event queue, one registry, the classic layout.
+// With threads >= 1 the hosts split over S shards: shard 0 owns the server,
+// the bottleneck and (dumbbell) the routers and downlinks; client i's host,
+// robot and uplink (star: both access links) live on shard
+// 1 + i mod (S-1). Links whose sink sits on another shard deliver through
+// ShardedEngine::post; per-shard registries merge in shard order.
 #pragma once
 
 #include <cstdint>
@@ -147,22 +155,23 @@ struct WorkloadConfig {
   /// (scale tests want it; the 1000-client bench skips the O(N·site) cost).
   bool verify_cache = false;
 
-  /// Optional: handed the run's metrics registry before teardown. Sharded
-  /// drivers merge shard registries through Registry::merge_from here.
+  /// Optional: handed the run's metrics registry before teardown (with
+  /// several shards, their registries merged in shard order).
   obs::MetricsSink* metrics_sink = nullptr;
 
-  /// Parallel engine selector. 0 (default) = the classic single-queue driver,
-  /// byte-exact with every pre-sharding build; the HSIM_THREADS environment
-  /// variable may promote it at runtime. >= 1 = the host-sharded engine
-  /// (sim/shard.hpp) with that many worker threads. The shard partition is
-  /// fixed by `shards` (not by `threads`), so every threads >= 1 value
-  /// produces byte-identical results — the thread count is purely a
-  /// performance knob. Falls back to the classic driver when the topology's
-  /// minimum cross-shard latency is below 1 ns (no usable lookahead).
+  /// Worker threads of the sim::ShardedEngine every run is built on. 0
+  /// (default) = the one-shard partition: every host, link, robot and the
+  /// one metrics registry on shard 0, one event queue, byte-exact with every
+  /// pre-sharding build. >= 1 = the host-sharded partition below, with that
+  /// many worker threads. The partition is fixed by `shards` (not by
+  /// `threads`), so every threads >= 1 value produces byte-identical results
+  /// — the thread count is purely a performance knob. A topology whose
+  /// minimum cross-shard latency is below 1 ns (no usable lookahead) runs as
+  /// one shard whatever `threads` says.
   unsigned threads = 0;
-  /// Sharded runs only: how many shards to partition the hosts into
+  /// threads >= 1 only: how many shards to partition the hosts into
   /// (shard 0 = server + bottleneck, clients round-robin over the rest).
-  /// 0 = auto (min(num_clients, 8) client shards). Changing the shard count
+  /// 0 = auto (1 + min(num_clients, 8)). Changing the shard count
   /// changes cross-shard event interleaving, so comparisons must hold it
   /// fixed; `threads` never affects results, `shards` may.
   std::size_t shards = 0;

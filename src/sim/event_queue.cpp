@@ -70,7 +70,6 @@ void EventQueue::fire(const Entry& e) {
   retire(s);
   --live_;
   now_ = e.key.when;
-  current_key_ = e.key;
   s.cb();
   s.cb.reset();
   s.next_free = free_head_;

@@ -146,7 +146,10 @@ std::size_t ShardedEngine::run_until(Time deadline) {
 
     if (t_min == EventQueue::kNoEvent || t_min > deadline) break;
 
-    round_end_ = t_min + config_.lookahead;
+    // A lone shard can receive no cross-shard message, so it needs no
+    // lookahead window: it runs to the next epoch or the deadline in one
+    // slice.
+    round_end_ = queues_.size() == 1 ? deadline + 1 : t_min + config_.lookahead;
     if (on_epoch_ && next_epoch_ <= epoch_last_ && next_epoch_ < round_end_) {
       round_end_ = next_epoch_;
     }

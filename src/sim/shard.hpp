@@ -105,7 +105,9 @@ class ShardedEngine {
   void set_epochs(Time interval, Time last, std::function<void(Time)> fn);
 
   /// Runs all shards in rounds until every event with time <= deadline has
-  /// executed. Returns the number of events executed by this call.
+  /// executed. A one-shard engine needs no rounds: it runs its queue to the
+  /// deadline (or to the next epoch) in one slice. Returns the number of
+  /// events executed by this call.
   std::size_t run_until(Time deadline);
 
   /// Cross-shard messages that arrived too late: their fire time fell inside

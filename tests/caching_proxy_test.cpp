@@ -6,7 +6,6 @@
 #include "http/parser.hpp"
 #include "proxy/proxy.hpp"
 #include "server/server.hpp"
-#include "server/static_site.hpp"
 
 namespace hsim {
 namespace {
@@ -36,8 +35,7 @@ struct CacheRig {
         origin(queue, kOriginAddr, "origin", rng.fork()),
         proxy_uplink(queue, net::LinkConfig{}, rng.fork()),
         origin_server(origin,
-                      server::StaticSite::from_microscape(
-                          harness::shared_site()),
+                      harness::server_site(harness::shared_site()),
                       server::apache_config(), rng.fork()) {
     cp.attach_a(&client);
     cp.attach_b(&proxy_host);

@@ -6,7 +6,6 @@
 #include "client/profile.hpp"
 #include "harness/experiment.hpp"
 #include "http/parser.hpp"
-#include "server/static_site.hpp"
 
 namespace hsim {
 namespace {
@@ -74,7 +73,7 @@ struct WireRig {
         client_host(queue, 1, "c", rng.fork()),
         server_host(queue, 2, "s", rng.fork()),
         server(server_host,
-               server::StaticSite::from_microscape(harness::shared_site()),
+               harness::server_site(harness::shared_site()),
                server::apache_config(), rng.fork()),
         robot(client_host, 2, 80, std::move(config)) {
     channel.attach_a(&client_host);

@@ -5,7 +5,6 @@
 #include "content/gif.hpp"
 #include "content/image.hpp"
 #include "harness/experiment.hpp"
-#include "server/static_site.hpp"
 
 namespace hsim {
 namespace {
@@ -111,7 +110,7 @@ TEST(RenderMetricsTest, CompressionAcceleratesHtmlCompletion) {
     server_host.attach_uplink(&channel.uplink_from_b());
     server::HttpServer server(
         server_host,
-        server::StaticSite::from_microscape(harness::shared_site()),
+        harness::server_site(harness::shared_site()),
         server::jigsaw_config(), rng.fork());
     server.start(80);
     client::ClientConfig config = harness::robot_config(mode);

@@ -120,8 +120,6 @@ class ModelHarness {
     const auto it = model_.begin();
     ASSERT_EQ(it->second.label, label) << "out of order at " << q_.now();
     ASSERT_EQ(q_.now(), it->first.when);
-    ASSERT_EQ(q_.current_key().seq, it->first.seq);
-    ASSERT_EQ(q_.current_key().src, it->first.src);
     if (it->second.timer >= 0) {
       ASSERT_FALSE(timers_[it->second.timer]->armed());
       timer_key_[it->second.timer].reset();

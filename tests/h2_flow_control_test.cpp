@@ -129,7 +129,9 @@ void expect_windows_nonnegative(const Session& s,
   EXPECT_GE(s.conn_send_window(), 0);
   for (std::uint32_t id : ids) {
     const auto w = s.stream_send_window(id);
-    if (w.has_value()) EXPECT_GE(*w, 0) << "stream " << id;
+    if (w.has_value()) {
+      EXPECT_GE(*w, 0) << "stream " << id;
+    }
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
-#include "server/static_site.hpp"
 
 namespace hsim {
 namespace {
@@ -86,7 +85,7 @@ TEST(IntegrationTest, CompressedHtmlDecodesIdentically) {
   channel.attach_b(&sh);
   ch.attach_uplink(&channel.uplink_from_a());
   sh.attach_uplink(&channel.uplink_from_b());
-  server::HttpServer server(sh, server::StaticSite::from_microscape(site()),
+  server::HttpServer server(sh, harness::server_site(site()),
                             server::jigsaw_config(), rng.fork());
   server.start(80);
   client::Robot robot(ch, 2, 80, spec.client);

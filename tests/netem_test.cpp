@@ -398,8 +398,8 @@ TEST(NetemDeterminism, SameSeedSameResults) {
 TEST(NetemDeterminism, ThreadCountDoesNotChangeResults) {
   // The profile lookup is time-indexed, so the sharded engine's lookahead
   // must stay a valid lower bound (min_extra_latency tightening) for the
-  // two-shard run to replay the classic event order exactly. Counters and
-  // non-sample gauges must match the classic driver; the client.* sample
+  // sharded run to replay the classic event order exactly. Counters and
+  // non-sample gauges must match the one-shard run; the client.* sample
   // gauges legitimately merge differently across shards (DESIGN.md §14).
   const auto additive = [](const std::map<std::string, std::int64_t>& gauges) {
     std::map<std::string, std::int64_t> out;

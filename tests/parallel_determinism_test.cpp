@@ -1,17 +1,17 @@
 // Thread-count determinism matrix for the host-sharded engine.
 //
-// The sharded drivers' contract (harness/parallel.hpp): for a fixed shard
+// run_workload's contract (harness/workload.hpp): for a fixed shard
 // partition, the worker thread count is a pure performance knob — T=1 and
 // T=2/4/8 runs of the same configuration are byte-identical, over every
-// surface a consumer can observe: WorkloadResult fields, the full metrics
-// registry dump, and the per-packet client trace. This suite pins that
-// contract on both canonical topologies over several seeds, and pins the
-// sharded T=1 run against the classic single-queue driver on the surfaces
+// surface a consumer can observe: WorkloadResult fields and the full metrics
+// registry dump. This suite pins that contract on both canonical topologies
+// over several seeds, pins the one-shard (threads = 0) run to fixed hashes,
+// and pins the sharded T=1 run against the one-shard run on the surfaces
 // the two share exactly.
 //
 // On divergence each test writes the expected/actual dumps next to the test
-// binary (parallel_<name>.expected.txt / .actual.txt, and .actual.trace for
-// trace divergences) so CI uploads them as artifacts.
+// binary (parallel_<name>.expected.txt / .actual.txt) so CI uploads them as
+// artifacts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "harness/scenarios.hpp"
 #include "harness/soak.hpp"
 #include "harness/workload.hpp"
 #include "net/trace_io.hpp"
@@ -123,11 +122,51 @@ TEST(ParallelDeterminism, DumbbellThreadMatrixByteIdentical) {
   }
 }
 
-// The classic single-queue driver and the sharded T=1 run agree on every
-// shared surface. Two gauge families legitimately differ (DESIGN.md §14):
-// peaks (taken per shard before the merge) and the client.* sample gauges,
-// where set() means "last writer wins" in one registry but the shard merge
-// sums one last-write per client shard. So the comparison is everything
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The one-shard partition (threads = 0) reproduces the single-queue driver
+// byte for byte: the whole fingerprint, registry dump included, hashes to
+// the values that driver produced for these three configurations.
+TEST(ParallelDeterminism, OneShardFingerprintsArePinned) {
+  struct Pinned {
+    const char* name;
+    harness::WorkloadConfig config;
+    std::uint64_t hash;
+  };
+  harness::WorkloadConfig h2 =
+      matrix_workload(harness::TopologyKind::kStar, 5);
+  h2.client = harness::robot_config(client::ProtocolMode::kH2);
+  const Pinned pinned[] = {
+      {"star", matrix_workload(harness::TopologyKind::kStar, 5),
+       0xd998cb9151c37838ULL},
+      {"dumbbell", matrix_workload(harness::TopologyKind::kDumbbell, 5),
+       0x466f15c01944d690ULL},
+      {"star_h2", h2, 0xf68aea0c4658975aULL},
+  };
+  for (const Pinned& p : pinned) {
+    ASSERT_EQ(p.config.threads, 0u);
+    const std::string fp =
+        workload_fingerprint(run_workload(p.config, harness::shared_site()));
+    if (fnv1a64(fp) != p.hash) {
+      net::write_file(std::string("parallel_pinned_") + p.name + ".actual.txt",
+                      fp);
+    }
+    EXPECT_EQ(fnv1a64(fp), p.hash) << p.name << " fingerprint changed";
+  }
+}
+
+// The one-shard run and the sharded T=1 run agree on every shared surface.
+// Two gauge families legitimately differ (DESIGN.md §14): peaks (taken per
+// shard before the merge) and the client.* sample gauges, where set() means
+// "last writer wins" in one registry but the shard merge sums one
+// last-write per client shard. So the comparison is everything
 // except the registry dump, plus counter-for-counter equality and the
 // additive (inc/dec-style) gauges.
 TEST(ParallelDeterminism, ShardedMatchesClassicDriver) {
@@ -157,67 +196,6 @@ TEST(ParallelDeterminism, ShardedMatchesClassicDriver) {
     EXPECT_EQ(additive(classic.metrics.gauges),
               additive(sharded.metrics.gauges));
   }
-}
-
-// run_once: the per-packet client trace (the finest-grained observable — the
-// golden-trace format) is identical at every thread count, star scenario
-// table4 and WAN scenario table6.
-TEST(ParallelDeterminism, RunOnceTraceThreadMatrix) {
-  struct Pinned {
-    const char* name;
-    harness::ExperimentSpec spec;
-  };
-  const Pinned pinned[] = {
-      {"table4", harness::golden_table4_spec()},
-      {"table6", harness::golden_table6_spec()},
-  };
-  for (const Pinned& p : pinned) {
-    harness::ExperimentSpec spec = p.spec;
-    spec.threads = 1;
-    const std::vector<net::TraceRecord> base =
-        harness::capture_trace(spec, harness::shared_site());
-    ASSERT_FALSE(base.empty());
-    for (unsigned t : kThreadMatrix) {
-      spec.threads = t;
-      const std::vector<net::TraceRecord> run =
-          harness::capture_trace(spec, harness::shared_site());
-      const net::TraceDiff diff = net::diff_traces(base, run);
-      if (!diff.identical) {
-        net::write_file(std::string("parallel_") + p.name + "_T" +
-                            std::to_string(t) + ".actual.trace",
-                        net::trace_to_text(run));
-        net::write_file(std::string("parallel_") + p.name + "_T" +
-                            std::to_string(t) + ".diff.txt",
-                        diff.report);
-      }
-      EXPECT_TRUE(diff.identical)
-          << p.name << " trace diverged at T=" << t << " ("
-          << diff.differing << " records differ, first at "
-          << diff.first_diff << ")";
-    }
-  }
-}
-
-// run_once result fields (trace summary, page bounds, connection counters)
-// across the matrix — and the sharded trace against the classic driver's,
-// byte for byte.
-TEST(ParallelDeterminism, RunOnceMatchesClassicDriver) {
-  harness::ExperimentSpec spec = harness::golden_table4_spec();
-  spec.threads = 0;
-  const std::vector<net::TraceRecord> classic =
-      harness::capture_trace(spec, harness::shared_site());
-  spec.threads = 1;
-  const std::vector<net::TraceRecord> sharded =
-      harness::capture_trace(spec, harness::shared_site());
-  const net::TraceDiff diff = net::diff_traces(classic, sharded);
-  if (!diff.identical) {
-    net::write_file("parallel_classic_vs_sharded.actual.trace",
-                    net::trace_to_text(sharded));
-    net::write_file("parallel_classic_vs_sharded.diff.txt", diff.report);
-  }
-  EXPECT_TRUE(diff.identical)
-      << "sharded T=1 trace diverged from the classic driver\n"
-      << diff.report;
 }
 
 // The soak harness's conservation/monotonicity oracles run at engine

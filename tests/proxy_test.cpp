@@ -6,7 +6,6 @@
 #include "http/parser.hpp"
 #include "proxy/proxy.hpp"
 #include "server/server.hpp"
-#include "server/static_site.hpp"
 
 namespace hsim {
 namespace {
@@ -82,7 +81,7 @@ struct UpstreamRequestTap {
 TEST(HttpProxyTest, ForwardsGetEndToEnd) {
   ProxyNet net;
   server::HttpServer origin_server(
-      net.origin, server::StaticSite::from_microscape(harness::shared_site()),
+      net.origin, harness::server_site(harness::shared_site()),
       net.origin_config(), net.rng.fork());
   origin_server.start(80);
   proxy::HttpProxyConfig pc;
@@ -125,7 +124,7 @@ TEST(HttpProxyTest, ForwardsGetEndToEnd) {
 TEST(HttpProxyTest, SequentialRequestsOnOneClientConnection) {
   ProxyNet net;
   server::HttpServer origin_server(
-      net.origin, server::StaticSite::from_microscape(harness::shared_site()),
+      net.origin, harness::server_site(harness::shared_site()),
       net.origin_config(), net.rng.fork());
   origin_server.start(80);
   proxy::HttpProxyConfig pc;
@@ -165,7 +164,7 @@ TEST(TunnelProxyTest, BlindKeepAliveForwardingHangsConnections) {
   oc.keep_alive = true;
   oc.idle_timeout = sim::seconds(300);  // patient origin
   server::HttpServer origin_server(
-      net.origin, server::StaticSite::from_microscape(harness::shared_site()),
+      net.origin, harness::server_site(harness::shared_site()),
       oc, net.rng.fork());
   origin_server.start(80);
 
@@ -215,7 +214,7 @@ TEST(TunnelProxyTest, StrippingConnectionHeaderAvoidsTheHang) {
   server::ServerConfig oc = net.origin_config();
   oc.keep_alive = true;
   server::HttpServer origin_server(
-      net.origin, server::StaticSite::from_microscape(harness::shared_site()),
+      net.origin, harness::server_site(harness::shared_site()),
       oc, net.rng.fork());
   origin_server.start(80);
 
@@ -293,7 +292,7 @@ TEST(TunnelProxyTest, TwoProxyChainReproducesThePapersScenario) {
   oc.keep_alive = true;
   oc.idle_timeout = sim::seconds(300);
   server::HttpServer origin_server(
-      origin, server::StaticSite::from_microscape(harness::shared_site()), oc,
+      origin, harness::server_site(harness::shared_site()), oc,
       rng.fork());
   origin_server.start(80);
 
@@ -341,7 +340,7 @@ TEST(TunnelProxyTest, PipelinedRobotWorksThroughTunnel) {
   // it: the full pipelined first visit succeeds through the relay.
   ProxyNet net;
   server::HttpServer origin_server(
-      net.origin, server::StaticSite::from_microscape(harness::shared_site()),
+      net.origin, harness::server_site(harness::shared_site()),
       net.origin_config(), net.rng.fork());
   origin_server.start(80);
   proxy::TunnelProxyConfig tc;

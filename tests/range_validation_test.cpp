@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
-#include "server/static_site.hpp"
 
 namespace hsim {
 namespace {
@@ -17,7 +16,7 @@ struct Rig {
         client_host(queue, 1, "client", rng.fork()),
         server_host(queue, 2, "server", rng.fork()),
         server(server_host,
-               server::StaticSite::from_microscape(harness::shared_site()),
+               harness::server_site(harness::shared_site()),
                server::apache_config(), rng.fork()),
         robot(client_host, 2, 80, std::move(config)) {
     channel.attach_a(&client_host);

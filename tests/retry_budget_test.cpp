@@ -28,7 +28,6 @@
 #include "http/parser.hpp"
 #include "proxy/proxy.hpp"
 #include "server/server.hpp"
-#include "server/static_site.hpp"
 
 namespace hsim {
 namespace {
@@ -169,8 +168,7 @@ struct BreakerRig {
         origin(queue, kOriginAddr, "origin", rng.fork()),
         proxy_uplink(queue, net::LinkConfig{}, rng.fork()),
         origin_server(origin,
-                      server::StaticSite::from_microscape(
-                          harness::shared_site()),
+                      harness::server_site(harness::shared_site()),
                       with_faults(origin_config, faulty), rng.fork()) {
     cp.attach_a(&client);
     cp.attach_b(&proxy_host);

@@ -138,18 +138,6 @@ TEST(ShardQueueTest, NextEventTimePurgesCancelledTop) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(ShardQueueTest, CurrentKeyIsVisibleDuringCallback) {
-  EventQueue q;
-  q.set_shard(4);
-  EventKey seen{};
-  q.schedule_at(15, [&] { seen = q.current_key(); });
-  q.run();
-  EXPECT_EQ(seen.when, 15);
-  EXPECT_EQ(seen.sched, 0);
-  EXPECT_EQ(seen.src, 4u);
-  EXPECT_NE(seen.seq, 0u);
-}
-
 // ---- ShardedEngine rounds --------------------------------------------------
 
 TEST(ShardedEngineTest, LegalScheduleNeverViolatesLookahead) {
@@ -353,6 +341,37 @@ TEST(ShardedEngineTest, ClockMirrorsRunUntilSemantics) {
   EXPECT_EQ(engine.now(), 50);  // event pending beyond the deadline
   EXPECT_EQ(engine.run_until(200), 1u);
   EXPECT_EQ(engine.now(), 100);  // queue drained: time of the last event
+}
+
+TEST(ShardedEngineTest, OneShardRunsEachCallInOneSlice) {
+  // One shard can receive no cross-shard message, so it runs no lookahead
+  // rounds: whatever the configured lookahead and however far apart its
+  // events are, each run_until enters the shard once.
+  ShardedEngine::Config config;
+  config.shards = 1;
+  config.lookahead = 1;
+  ShardedEngine engine(config);
+  int entered = 0;
+  engine.set_shard_enter([&](std::size_t shard) {
+    EXPECT_EQ(shard, 0u);
+    ++entered;
+  });
+
+  std::vector<Time> ran;
+  for (Time t : {Time{10}, Time{1'000}, Time{100'000}}) {
+    engine.queue(0).schedule_at(t, [&ran, &engine, t] {
+      ran.push_back(t);
+      // Events scheduled from inside the slice run in the same slice.
+      engine.queue(0).schedule_at(t + 7, [&ran, t] { ran.push_back(t + 7); });
+    });
+  }
+  EXPECT_EQ(engine.run_until(50'000), 4u);
+  EXPECT_EQ(entered, 1);
+  EXPECT_EQ(engine.now(), 50'000);
+  EXPECT_EQ(engine.run_until(200'000), 2u);
+  EXPECT_EQ(entered, 2);
+  EXPECT_EQ(ran, (std::vector<Time>{10, 17, 1'000, 1'007, 100'000, 100'007}));
+  EXPECT_EQ(engine.now(), 100'007);
 }
 
 // ---- Thread-count invariance at the engine level ---------------------------

@@ -91,7 +91,7 @@ TEST_P(HttpOverLossProperty, PipelinedVisitCompletesOverLossyWan) {
   client_host.attach_uplink(&channel.uplink_from_a());
   server_host.attach_uplink(&channel.uplink_from_b());
   server::HttpServer server(
-      server_host, server::StaticSite::from_microscape(harness::shared_site()),
+      server_host, harness::server_site(harness::shared_site()),
       server::apache_config(), rng.fork());
   server.start(80);
   client::Robot robot(

@@ -46,7 +46,8 @@ std::string fingerprint(const harness::WorkloadResult& r) {
          std::to_string(r.bottleneck_queue_drops) + "/" +
          std::to_string(r.bottleneck_syns);
   for (const harness::ClientOutcome& c : r.clients) {
-    out += ";" + std::to_string(c.complete()) + ":" +
+    out += ';';
+    out += std::to_string(c.complete()) + ":" +
            std::to_string(c.stats.started) + "-" +
            std::to_string(c.stats.finished) + ":" +
            std::to_string(c.stats.retries);
